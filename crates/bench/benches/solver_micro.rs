@@ -142,65 +142,61 @@ fn bench_solver(c: &mut Criterion) {
         });
     }
 
-    // Fork vs re-blast at a branch divergence: a binary tree of branch
-    // points, every divergence queried for both children — the engine's
-    // access pattern under interleaving search. With `ctx_fork` the
-    // second child clones the warm divergence context; without it the
-    // shared prefix re-blasts from scratch once per sibling.
-    for (label, fork) in [("fork", true), ("reblast", false)] {
-        group.bench_function(format!("divergence_tree_{label}"), |bch| {
-            bch.iter_batched(
-                || {
-                    let mut pool = ExprPool::new(16);
-                    let prefix = parsing_pc(&mut pool, 6);
-                    // Three levels of divergence conjuncts.
-                    let levels: Vec<(ExprId, ExprId)> = (0..3u8)
-                        .map(|i| {
-                            let b = pool.input(&format!("b{}", i % 6), 16);
-                            let k = pool.bv_const((b'0' + 2 * i) as u64, 16);
-                            let c = pool.ugt(b, k);
-                            (c, pool.not(c))
-                        })
-                        .collect();
-                    (pool, prefix, levels)
-                },
-                |(pool, prefix, levels)| {
-                    let mut solver = Solver::new(SolverConfig {
-                        use_cache: false,
-                        use_model_reuse: false,
-                        use_cex_cache: false,
-                        use_independence: false,
-                        use_incremental: true,
-                        ctx_fork: fork,
-                        ..Default::default()
-                    });
-                    // Walk the divergence tree breadth-first, querying
-                    // both polarities at every node, then extending both.
-                    let mut frontier: Vec<Vec<ExprId>> = vec![prefix.clone()];
-                    for &(c, not_c) in &levels {
-                        let mut next = Vec::with_capacity(frontier.len() * 2);
-                        for pc in frontier {
-                            black_box(solver.check_assuming(&pool, &pc, c));
-                            black_box(solver.check_assuming(&pool, &pc, not_c));
-                            let mut with_c = pc.clone();
-                            with_c.push(c);
-                            let mut with_not = pc;
-                            with_not.push(not_c);
-                            next.push(with_c);
-                            next.push(with_not);
-                        }
-                        frontier = next;
+    // Forks at a branch divergence: a binary tree of branch points,
+    // every divergence queried for both children — the engine's access
+    // pattern under interleaving search. The second child clones the
+    // warm divergence context instead of re-blasting the shared prefix.
+    group.bench_function("divergence_tree_fork", |bch| {
+        bch.iter_batched(
+            || {
+                let mut pool = ExprPool::new(16);
+                let prefix = parsing_pc(&mut pool, 6);
+                // Three levels of divergence conjuncts.
+                let levels: Vec<(ExprId, ExprId)> = (0..3u8)
+                    .map(|i| {
+                        let b = pool.input(&format!("b{}", i % 6), 16);
+                        let k = pool.bv_const((b'0' + 2 * i) as u64, 16);
+                        let c = pool.ugt(b, k);
+                        (c, pool.not(c))
+                    })
+                    .collect();
+                (pool, prefix, levels)
+            },
+            |(pool, prefix, levels)| {
+                let mut solver = Solver::new(SolverConfig {
+                    use_cache: false,
+                    use_model_reuse: false,
+                    use_cex_cache: false,
+                    use_independence: false,
+                    use_incremental: true,
+                    ..Default::default()
+                });
+                // Walk the divergence tree breadth-first, querying
+                // both polarities at every node, then extending both.
+                let mut frontier: Vec<Vec<ExprId>> = vec![prefix.clone()];
+                for &(c, not_c) in &levels {
+                    let mut next = Vec::with_capacity(frontier.len() * 2);
+                    for pc in frontier {
+                        black_box(solver.check_assuming(&pool, &pc, c));
+                        black_box(solver.check_assuming(&pool, &pc, not_c));
+                        let mut with_c = pc.clone();
+                        with_c.push(c);
+                        let mut with_not = pc;
+                        with_not.push(not_c);
+                        next.push(with_c);
+                        next.push(with_not);
                     }
-                    // Completion-style query on every leaf.
-                    for pc in &frontier {
-                        let t = pool.true_();
-                        black_box(solver.check_assuming(&pool, pc, t));
-                    }
-                },
-                criterion::BatchSize::SmallInput,
-            )
-        });
-    }
+                    frontier = next;
+                }
+                // Completion-style query on every leaf.
+                for pc in &frontier {
+                    let t = pool.true_();
+                    black_box(solver.check_assuming(&pool, pc, t));
+                }
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
 
     // Ablation: independent-constraint slicing on a 3-component query.
     for (label, slicing) in [("slicing_on", true), ("slicing_off", false)] {

@@ -11,18 +11,14 @@
 //!
 //! ```sh
 //! cargo run --release -p symmerge-bench --bin ctx_stats            # wc + rev sweep
-//! SYMMERGE_SOLVER_CTX_FORK=0 cargo run --release -p symmerge-bench --bin ctx_stats
-//! SYMMERGE_MAX_CONTEXTS=16 cargo run --release -p symmerge-bench --bin ctx_stats
-//! SYMMERGE_CTX_EVICT=count cargo run --release -p symmerge-bench --bin ctx_stats
 //! SYMMERGE_MAX_CTX_CLAUSES=100000 cargo run --release -p symmerge-bench --bin ctx_stats
 //! ```
 //!
-//! `SYMMERGE_MAX_CONTEXTS` overrides the context-count floor (the knob
-//! behind the 16 → 64 default bump this harness motivated);
-//! `SYMMERGE_CTX_EVICT=count` ablates clause-weighted adaptive eviction
-//! back to the fixed-capacity count policy, and
-//! `SYMMERGE_MAX_CTX_CLAUSES` probes the clause budget.
+//! The run starts from the configuration the `SYMMERGE_*` environment
+//! selects (`symmerge_core::env`), so `SYMMERGE_MAX_CTX_CLAUSES` probes
+//! the clause budget and the `SYMMERGE_SOLVER_*` oracles ablate tiers.
 
+use symmerge_bench::env_configs;
 use symmerge_bench::harness::{CsvOut, HarnessOpts};
 use symmerge_core::{
     Budgets, Engine, EngineConfig, MergeMode, ParallelConfig, ParallelEngine, QceConfig,
@@ -32,6 +28,7 @@ use symmerge_workloads::{by_name, InputConfig};
 
 fn main() {
     let opts = HarnessOpts::parse(120_000);
+    let (base, _) = env_configs();
     // (tool, sizing, mode, strategy, jobs, shared, incremental): the
     // `jobs > 1` rows run the BSP fleet with the cross-worker shared
     // solver-cache fabric off vs on — the hit-rate data behind the
@@ -119,11 +116,8 @@ fn main() {
             budgets: Budgets { max_time: Some(opts.budget), ..Budgets::default() },
             generate_tests: true,
             seed: opts.seed,
-            ..EngineConfig::default()
+            ..base.clone()
         };
-        if let Ok(n) = std::env::var("SYMMERGE_MAX_CONTEXTS") {
-            config.solver.max_contexts = n.parse().expect("SYMMERGE_MAX_CONTEXTS takes a count");
-        }
         config.solver.shared_cache = shared;
         config.solver.use_incremental = incremental;
         let report = if jobs > 1 {

@@ -17,7 +17,10 @@
 //! (`SolverConfig::shared_cache`); runs generate canonical-model tests
 //! and every point is asserted byte-identical to the sequential
 //! reference cell, the same contract `tier_sweep` pins for the
-//! cache-tier axis.
+//! cache-tier axis. Runs start from the configuration the `SYMMERGE_*`
+//! environment selects (`symmerge_bench::env_configs`, through
+//! `config_for`); the scheduler and shared-cache axes are pinned per
+//! cell.
 //!
 //! Sizes are chosen so the sequential run takes on the order of seconds
 //! in release mode: long enough for the per-round barriers to amortize,
@@ -120,16 +123,6 @@ fn main() {
                     let t0 = Instant::now();
                     let report = run_workload(&w, &cfg, Setup::Baseline, &run_opts);
                     let wall = t0.elapsed();
-                    if std::env::var_os("SYMMERGE_PAR_DEBUG").is_some() {
-                        eprintln!(
-                        "# {tool} {scheduler:?} jobs={jobs} shared={shared}: solver.time={:?} ctx={}/{} cache={} reuse={}",
-                        report.solver.time,
-                        report.solver.ctx_hits,
-                        report.solver.ctx_rebuilds,
-                        report.solver.cache_hits,
-                        report.solver.model_reuse_hits
-                    );
-                    }
                     assert!(
                         !report.hit_budget,
                         "{tool} {scheduler:?} jobs={jobs}: raise --budget-ms, scaling needs \

@@ -12,23 +12,27 @@
 //!    is pure routing, so the generated-test count must not move.
 //! 2. **Is the gated pipeline really result-identical?** For each
 //!    threshold, re-run in canonical-model mode and require the
-//!    generated tests to be *byte-identical* to the ungated, unfiltered
-//!    reference (`gate = 0`, prefilter off) — the same contract the
-//!    solver differential asserts at small sizes, checked here at the
-//!    size the sweep actually tunes.
+//!    generated tests to be *byte-identical* to the ungated reference
+//!    (`gate = 0`) — the same contract the solver differential asserts
+//!    at small sizes, checked here at the size the sweep actually tunes.
+//!
+//! The runs start from the configuration the `SYMMERGE_*` environment
+//! selects (`symmerge_core::env`).
 //!
 //! ```sh
 //! cargo run --release -p symmerge-bench --bin tier_sweep
 //! ```
 
+use symmerge_bench::env_configs;
 use symmerge_bench::harness::{CsvOut, HarnessOpts};
 use symmerge_core::{
     Budgets, Engine, EngineConfig, MergeMode, QceConfig, RunReport, SolverConfig, StrategyKind,
 };
 use symmerge_workloads::{by_name, InputConfig};
 
-/// One exhaustive `wc`@6 Random run with the given solver pipeline.
-fn run(opts: &HarnessOpts, solver: SolverConfig) -> RunReport {
+/// One exhaustive `wc`@6 Random run with the given solver pipeline on
+/// the `base` configuration.
+fn run(opts: &HarnessOpts, base: &EngineConfig, solver: SolverConfig) -> RunReport {
     let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 6 };
     let config = EngineConfig {
         merge_mode: MergeMode::None,
@@ -38,7 +42,7 @@ fn run(opts: &HarnessOpts, solver: SolverConfig) -> RunReport {
         generate_tests: true,
         seed: opts.seed,
         solver,
-        ..EngineConfig::default()
+        ..base.clone()
     };
     let engine = Engine::builder(by_name("wc").unwrap().program(&cfg))
         .config(config)
@@ -65,35 +69,27 @@ fn test_bytes(report: &RunReport) -> TestBytes {
 
 fn main() {
     let opts = HarnessOpts::parse(240_000);
-    // (label, gate, prefilter): the gate axis plus a prefilter ablation
-    // at the default threshold.
-    let axis: &[(&str, usize, bool)] = &[
-        ("ungated", 0, false),
-        ("gate-8", 8, true),
-        ("gate-16", 16, true),
-        ("gate-32", 32, true),
-        ("gate-64", 64, true),
-        ("gate-64-nofilter", 64, false),
-    ];
-    let solver_for = |gate: usize, prefilter: bool, canonical: bool| SolverConfig {
+    let (base, _) = env_configs();
+    // (label, gate): the gate axis; `0` disables the gate.
+    let axis: &[(&str, usize)] =
+        &[("ungated", 0), ("gate-8", 8), ("gate-16", 16), ("gate-32", 32), ("gate-64", 64)];
+    let solver_for = |gate: usize, canonical: bool| SolverConfig {
         tier_gate: gate,
-        cex_prefilter: prefilter,
         canonical_models: canonical,
-        ..SolverConfig::default()
+        ..base.solver.clone()
     };
 
     let mut csv = CsvOut::create(
         "tier_sweep",
-        "config,tier_gate,cex_prefilter,tests,sat_calls,cex_unsat_hits,cache_hits,\
+        "config,tier_gate,tests,sat_calls,cex_unsat_hits,cache_hits,\
          solver_ms,sat_ms,cache_ms,wall_ms,canonical_identical",
     );
     println!("# tier_sweep: wc@6 Random, cache-tier gate axis (exhaustive, tests on)");
     println!("# ident: canonical-model tests byte-identical to the ungated reference");
     println!(
-        "{:18} {:>5} {:>7} {:>7} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10} {:>6}",
+        "{:18} {:>5} {:>7} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10} {:>6}",
         "config",
         "gate",
-        "filter",
         "tests",
         "sat_calls",
         "cex_hits",
@@ -104,18 +100,18 @@ fn main() {
         "wall",
         "ident"
     );
-    // The byte-identity reference: canonical models, every shortcut off.
-    let reference = test_bytes(&run(&opts, solver_for(0, false, true)));
-    for &(label, gate, prefilter) in axis {
-        let report = run(&opts, solver_for(gate, prefilter, false));
-        let canonical = test_bytes(&run(&opts, solver_for(gate, prefilter, true)));
+    // The byte-identity reference: canonical models, gate off.
+    let reference = test_bytes(&run(&opts, &base, solver_for(0, true)));
+    for &(label, gate) in axis {
+        let report = run(&opts, &base, solver_for(gate, false));
+        let canonical = test_bytes(&run(&opts, &base, solver_for(gate, true)));
         assert_eq!(
             canonical, reference,
             "{label}: canonical tests diverged from the ungated reference"
         );
         let s = &report.solver;
         println!(
-            "{label:18} {gate:>5} {prefilter:>7} {:>7} {:>9} {:>9} {:>9} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>6}",
+            "{label:18} {gate:>5} {:>7} {:>9} {:>9} {:>9} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>6}",
             report.tests.len(),
             s.sat_calls,
             s.cex_unsat_hits,
@@ -127,7 +123,7 @@ fn main() {
             "yes"
         );
         csv.row(&format!(
-            "{label},{gate},{prefilter},{},{},{},{},{:.3},{:.3},{:.3},{:.3},yes",
+            "{label},{gate},{},{},{},{},{:.3},{:.3},{:.3},{:.3},yes",
             report.tests.len(),
             s.sat_calls,
             s.cex_unsat_hits,

@@ -56,16 +56,27 @@ pub struct RunOpts {
     /// sequential engine; `> 1` runs the sharded [`ParallelEngine`].
     pub jobs: u32,
     /// Which parallel scheduler to use (BSP rounds or work stealing).
-    /// Defaults from `SYMMERGE_SCHEDULER`; steal mode routes through the
-    /// [`ParallelEngine`] even at `jobs = 1`.
+    /// Defaults to the one [`env_configs`] selects; steal mode routes
+    /// through the [`ParallelEngine`] even at `jobs = 1`.
     pub scheduler: SchedulerKind,
     /// Force canonical minimal models — the byte-identity reference
     /// mode the differential sweeps compare generated tests under.
     pub canonical: bool,
     /// Cross-worker shared solver-cache override: `Some(on)` pins the
-    /// fabric for an ablation axis, `None` keeps the
-    /// `SYMMERGE_SHARED_CACHE` default.
+    /// fabric for an ablation axis, `None` keeps the environment's
+    /// setting.
     pub shared_cache: Option<bool>,
+}
+
+/// The engine and fleet configurations the `SYMMERGE_*` environment
+/// selects ([`symmerge_core::env`]): the harnesses start from these, so
+/// the oracle settings steer them.
+///
+/// # Panics
+///
+/// Panics on a malformed value, naming the variable and the value.
+pub fn env_configs() -> (EngineConfig, ParallelConfig) {
+    symmerge_core::env::from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Default for RunOpts {
@@ -79,15 +90,21 @@ impl Default for RunOpts {
             generate_tests: false,
             incremental: true,
             jobs: 1,
-            scheduler: SchedulerKind::from_env(),
+            scheduler: env_configs().1.scheduler,
             canonical: false,
             shared_cache: None,
         }
     }
 }
 
-/// Builds the engine configuration for a setup.
+/// Builds the engine configuration for a setup, layered on the one
+/// [`env_configs`] selects.
 pub fn config_for(setup: Setup, opts: &RunOpts) -> EngineConfig {
+    layer_setup(env_configs().0, setup, opts)
+}
+
+/// [`config_for`] over an explicit base configuration.
+fn layer_setup(base: EngineConfig, setup: Setup, opts: &RunOpts) -> EngineConfig {
     let mut config = EngineConfig {
         merge_mode: match setup {
             Setup::Baseline => MergeMode::None,
@@ -104,7 +121,7 @@ pub fn config_for(setup: Setup, opts: &RunOpts) -> EngineConfig {
         solver: {
             let mut solver = symmerge_core::SolverConfig {
                 use_incremental: opts.incremental,
-                ..symmerge_core::SolverConfig::default()
+                ..base.solver.clone()
             };
             if opts.canonical {
                 solver.canonical_models = true;
@@ -116,7 +133,7 @@ pub fn config_for(setup: Setup, opts: &RunOpts) -> EngineConfig {
         },
         generate_tests: opts.generate_tests,
         seed: opts.seed,
-        ..EngineConfig::default()
+        ..base
     };
     // Exhaustive-exploration harnesses use random search for the baseline
     // (like the paper's complete explorations); the coverage strategy only
@@ -129,7 +146,7 @@ pub fn config_for(setup: Setup, opts: &RunOpts) -> EngineConfig {
 
 /// Runs one workload under one setup and sizing. `opts.jobs > 1` runs
 /// the sharded parallel engine instead of the sequential loop; so does
-/// `SYMMERGE_SCHEDULER=steal` at any job count (steal at `jobs = 1`
+/// the steal scheduler at any job count (steal at `jobs = 1`
 /// still exercises the full shared-pool machinery, which is exactly the
 /// single-worker-overhead measurement the scaling sweeps want).
 pub fn run_workload(
@@ -141,22 +158,8 @@ pub fn run_workload(
     let program = workload.program(cfg);
     let config = config_for(setup, opts);
     if opts.jobs > 1 || opts.scheduler == SchedulerKind::Steal {
-        // Experiment overrides for the scaling sweeps (see EXPERIMENTS.md):
-        // SYMMERGE_PAR_QUOTA sets the per-round step quota,
-        // SYMMERGE_PAR_STEAL_NEWEST flips the steal direction,
-        // SYMMERGE_SCHEDULER selects the BSP or work-stealing scheduler,
-        // and SYMMERGE_WARM_MIGRATION=0 ablates warm-context migration
-        // (cold imports + unbiased steals — the pre-PR-5 behaviour).
-        let mut config = config;
-        if matches!(std::env::var("SYMMERGE_WARM_MIGRATION").as_deref(), Ok("0")) {
-            config.warm_migration = false;
-        }
-        let mut par =
+        let par =
             ParallelConfig { jobs: opts.jobs, scheduler: opts.scheduler, ..Default::default() };
-        if let Ok(q) = std::env::var("SYMMERGE_PAR_QUOTA") {
-            par.steps_per_round = q.parse().expect("SYMMERGE_PAR_QUOTA takes a step count");
-        }
-        par.steal_newest = std::env::var_os("SYMMERGE_PAR_STEAL_NEWEST").is_some();
         return ParallelEngine::new(program, config, par)
             .expect("workload programs validate")
             .run();
@@ -202,11 +205,24 @@ mod tests {
 
     #[test]
     fn configs_map_setups() {
-        let opts = RunOpts::default();
-        assert_eq!(config_for(Setup::Baseline, &opts).merge_mode, MergeMode::None);
-        assert_eq!(config_for(Setup::SsmQce, &opts).merge_mode, MergeMode::Static);
-        assert_eq!(config_for(Setup::DsmQce, &opts).merge_mode, MergeMode::Dynamic);
-        assert_eq!(config_for(Setup::SsmQce, &opts).strategy, StrategyKind::Topological);
+        let opts = RunOpts {
+            budget: None,
+            max_steps: None,
+            alpha: 1e-12,
+            zeta: None,
+            seed: 0,
+            generate_tests: false,
+            incremental: true,
+            jobs: 1,
+            scheduler: SchedulerKind::Bsp,
+            canonical: false,
+            shared_cache: None,
+        };
+        let config = |setup| layer_setup(EngineConfig::default(), setup, &opts);
+        assert_eq!(config(Setup::Baseline).merge_mode, MergeMode::None);
+        assert_eq!(config(Setup::SsmQce).merge_mode, MergeMode::Static);
+        assert_eq!(config(Setup::DsmQce).merge_mode, MergeMode::Dynamic);
+        assert_eq!(config(Setup::SsmQce).strategy, StrategyKind::Topological);
     }
 }
 

@@ -89,24 +89,24 @@ pub struct EngineConfig {
     pub warm_migration: bool,
     /// Seeded fault-injection plan ([`crate::fault`]): deterministic
     /// worker panics and forced solver `Unknown`s, for exercising the
-    /// fault-tolerance layer. `None` (the default when
-    /// `SYMMERGE_FAULT_PLAN` is unset) injects nothing. Injected faults
+    /// fault-tolerance layer. `None` (the default) injects nothing;
+    /// [`crate::env`] installs `SYMMERGE_FAULT_PLAN` here. Injected faults
     /// never change results — see the [`crate::fault`] module docs.
     pub fault_plan: Option<Arc<crate::fault::FaultPlan>>,
     /// Panic isolation: snapshot each picked state *before* executing
     /// it, so a panic caught anywhere in the step can quarantine and
     /// re-queue the state (`Engine::recover_from_panic`) instead of
     /// losing it. The snapshot clones the state every step, so it is
-    /// armed only when asked for: this flag (`SYMMERGE_PANIC_ISOLATION`
-    /// sets it), or a [`EngineConfig::fault_plan`] that schedules
-    /// panics.
+    /// armed only when asked for: this flag (off by default;
+    /// `SYMMERGE_PANIC_ISOLATION` sets it through [`crate::env`]), or a
+    /// [`EngineConfig::fault_plan`] that schedules panics.
     pub panic_isolation: bool,
     /// Periodic checkpointing ([`crate::checkpoint`]): snapshot the
     /// run's results and frontier to a file every
     /// [`CheckpointConfig::every`] picks, so a killed run can resume
     /// and still produce the uninterrupted run's final results. `None`
-    /// (the default when `SYMMERGE_CHECKPOINT_PATH` is unset) writes
-    /// nothing.
+    /// (the default) writes nothing; [`crate::env`] builds one from
+    /// `SYMMERGE_CHECKPOINT_PATH` / `SYMMERGE_CHECKPOINT_EVERY`.
     ///
     /// [`CheckpointConfig::every`]: crate::checkpoint::CheckpointConfig
     pub checkpoint: Option<crate::checkpoint::CheckpointConfig>,
@@ -128,9 +128,9 @@ impl Default for EngineConfig {
             generate_tests: true,
             affinity_scheduling: true,
             warm_migration: true,
-            fault_plan: crate::fault::FaultPlan::from_env(),
-            panic_isolation: std::env::var("SYMMERGE_PANIC_ISOLATION").is_ok_and(|v| v == "1"),
-            checkpoint: crate::checkpoint::CheckpointConfig::from_env(),
+            fault_plan: None,
+            panic_isolation: false,
+            checkpoint: None,
             seed: 0,
         }
     }
@@ -1810,12 +1810,12 @@ mod tests {
     #[test]
     fn clause_weighted_eviction_bounds_churn_at_a_small_count_floor() {
         // A 4-level branch tree: the frontier (and with it the set of
-        // forked divergence contexts) outgrows a count floor of 2. The
-        // fixed count policy churns — forked contexts are evicted about
-        // as fast as they are created, the `wc`@6 pathology — while the
-        // clause-weighted policy lets capacity track the engine's
-        // frontier hint, so the forks survive until their siblings
-        // return. Results must be identical either way.
+        // forked divergence contexts) outgrows a count floor of 2. A
+        // fixed count capacity would churn — forked contexts evicted
+        // about as fast as they are created, the `wc`@6 pathology —
+        // while clause-weighted eviction lets capacity track the
+        // engine's frontier hint, so the forks survive until their
+        // siblings return.
         let src = r#"
             fn main() {
                 let a = sym_int("a");
@@ -1830,36 +1830,20 @@ mod tests {
                 putchar(s);
             }
         "#;
-        let run = |by_clauses: bool| {
-            let mut e = engine_for(src, |bld| {
-                bld.merging(MergeMode::None).solver(symmerge_solver::SolverConfig {
-                    use_incremental: true,
-                    ctx_fork: true,
-                    max_contexts: 2,
-                    ctx_evict_by_clauses: by_clauses,
-                    canonical_models: true,
-                    ..symmerge_solver::SolverConfig::default()
-                })
-            });
-            e.run()
-        };
-        let adaptive = run(true);
-        let fixed = run(false);
-        // Result invariance: eviction policy is residency-only.
+        let mut e = engine_for(src, |bld| {
+            bld.merging(MergeMode::None).solver(symmerge_solver::SolverConfig {
+                use_incremental: true,
+                max_contexts: 2,
+                canonical_models: true,
+                ..symmerge_solver::SolverConfig::default()
+            })
+        });
+        let adaptive = e.run();
         assert_eq!(adaptive.completed_paths, 16);
-        assert_eq!(adaptive.completed_paths, fixed.completed_paths);
-        assert_eq!(adaptive.tests.len(), fixed.tests.len());
-        assert_eq!(adaptive.covered_blocks, fixed.covered_blocks);
-        // The churn bound: the fixed floor churns, the adaptive policy
-        // keeps the whole (small) frontier resident.
+        assert_eq!(adaptive.tests.len(), 16);
+        assert!(adaptive.solver.ctx_forks > 0, "the branch tree must fork contexts");
         assert!(
-            fixed.solver.ctx_evictions > adaptive.solver.ctx_evictions,
-            "fixed count floor must churn more ({} <= {})",
-            fixed.solver.ctx_evictions,
-            adaptive.solver.ctx_evictions
-        );
-        assert!(
-            adaptive.solver.ctx_evictions * 2 < adaptive.solver.ctx_forks.max(1),
+            adaptive.solver.ctx_evictions * 2 < adaptive.solver.ctx_forks,
             "adaptive policy must break the forks ≈ evictions churn \
              ({} forks / {} evictions)",
             adaptive.solver.ctx_forks,

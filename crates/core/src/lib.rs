@@ -19,7 +19,9 @@
 //!   similar state, while an arbitrary *driving* strategy keeps control;
 //! * [`strategy`] — DFS/BFS/random/coverage-optimized/topological search;
 //! * [`testgen`] — test-case generation from path conditions and replay
-//!   validation against the concrete interpreter.
+//!   validation against the concrete interpreter;
+//! * [`env`](mod@env) — the configuration boundary, the one reader of the
+//!   `SYMMERGE_*` environment variables (library defaults read none).
 //!
 //! # Quickstart
 //!
@@ -50,6 +52,7 @@
 pub mod checkpoint;
 pub mod dsm;
 pub mod engine;
+pub mod env;
 pub mod exec;
 pub mod fault;
 pub mod merge;

@@ -126,7 +126,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use symmerge_expr::SharedExprPool;
 use symmerge_ir::{Program, ValidateError};
@@ -148,17 +148,6 @@ pub enum SchedulerKind {
     /// co-location); promises *set-identical* results vs BSP, not
     /// per-`(seed, jobs)` trace reproducibility.
     Steal,
-}
-
-impl SchedulerKind {
-    /// Reads the `SYMMERGE_SCHEDULER` environment knob (`bsp` or
-    /// `steal`); anything else — including unset — is BSP.
-    pub fn from_env() -> SchedulerKind {
-        match std::env::var("SYMMERGE_SCHEDULER").as_deref() {
-            Ok("steal") => SchedulerKind::Steal,
-            _ => SchedulerKind::Bsp,
-        }
-    }
 }
 
 /// Parallelism knobs for [`ParallelEngine`].
@@ -184,8 +173,9 @@ pub struct ParallelConfig {
     /// keeps the victim's incremental solver contexts warm — worth it
     /// only when workers outnumber usable cores.
     pub steal_newest: bool,
-    /// The scheduling discipline. Defaults from the `SYMMERGE_SCHEDULER`
-    /// environment knob ([`SchedulerKind::from_env`]), BSP when unset.
+    /// The scheduling discipline: BSP by default (the
+    /// `SYMMERGE_SCHEDULER=steal` oracle setting selects work stealing
+    /// through the [`crate::env`] boundary).
     pub scheduler: SchedulerKind,
 }
 
@@ -195,7 +185,7 @@ impl Default for ParallelConfig {
             jobs: 1,
             steps_per_round: 512,
             steal_newest: false,
-            scheduler: SchedulerKind::from_env(),
+            scheduler: SchedulerKind::Bsp,
         }
     }
 }
@@ -793,32 +783,6 @@ impl ParallelEngine {
             if let Some(ck) = resume {
                 parts.push(base_output(ck));
             }
-            if std::env::var_os("SYMMERGE_PAR_DEBUG").is_some() {
-                for (w, part) in parts.iter().enumerate() {
-                    eprintln!(
-                        "# shard {w}: steps={} paths={} queries={} sat_calls={} cache={} reuse={} cex={}/{} shared={}/{}/{} ctx={}/{}/{}/{} solver_time={:?} sat_time={:?} cache_time={:?} wall={:?}",
-                        part.report.steps,
-                        part.report.completed_paths,
-                        part.report.solver.queries,
-                        part.report.solver.sat_calls,
-                        part.report.solver.cache_hits,
-                        part.report.solver.model_reuse_hits,
-                        part.report.solver.cex_sat_hits,
-                        part.report.solver.cex_unsat_hits,
-                        part.report.solver.shared_query_hits,
-                        part.report.solver.shared_cex_hits,
-                        part.report.solver.shared_publishes,
-                        part.report.solver.ctx_hits,
-                        part.report.solver.ctx_rebuilds,
-                        part.report.solver.ctx_forks,
-                        part.report.solver.ctx_evictions,
-                        part.report.solver.time,
-                        part.report.solver.sat_time,
-                        part.report.solver.cache_time,
-                        part.report.wall_time,
-                    );
-                }
-            }
             let mut report = reduce_reports(&parts, self.program.num_blocks());
             report.leftover_states += stranded;
             report.wall_time = start.elapsed();
@@ -854,6 +818,8 @@ struct Fleet {
     steals: AtomicU64,
     stolen_states: AtomicU64,
     idle_waits: AtomicU64,
+    /// Start line: every worker waits here after building its engine.
+    ready: Barrier,
 }
 
 /// Whether any configured budget has tripped fleet-wide.
@@ -917,6 +883,7 @@ impl ParallelEngine {
             steals: AtomicU64::new(0),
             stolen_states: AtomicU64::new(0),
             idle_waits: AtomicU64::new(0),
+            ready: Barrier::new(jobs as usize),
         };
 
         let parts: Vec<ShardOutput> = std::thread::scope(|scope| {
@@ -1005,6 +972,10 @@ fn steal_worker(
     }
     let mut engine = builder.build().expect("program validated in ParallelEngine::new");
     engine.set_fault_worker(shard);
+    // Start exploring only once every worker is built: otherwise on a
+    // busy host worker 0 can drain a small program before its peers'
+    // threads first run, and they never get any work at all.
+    fleet.ready.wait();
     if shard == 0 {
         // The matching pre-count is in `Fleet::outstanding`.
         match seed_frontier {

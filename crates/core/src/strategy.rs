@@ -162,16 +162,6 @@ pub trait Strategy {
     }
 }
 
-/// Reads a boolean ablation flag from the environment (the same
-/// convention as the solver's `SYMMERGE_SOLVER_*` flags: `0`/`false`/
-/// `off`/`no` disables).
-fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => default,
-    }
-}
-
 /// Instantiates a boxed strategy from its kind.
 pub fn make_strategy(kind: StrategyKind) -> Box<dyn Strategy> {
     match kind {
@@ -333,9 +323,9 @@ const GEN_UNKNOWN: u64 = u64::MAX;
 /// coverage grows (see [`Oracle::distance_to_uncovered`]): every stored
 /// key is a lower bound of the state's current key, so a popped entry
 /// whose recomputed key is unchanged is the true minimum — byte-for-byte
-/// the state the O(n) scan would have chosen. The scan is retained
-/// (`pick_ranked_scan`), both as the reference the property suite
-/// compares against and as the `SYMMERGE_COV_HEAP=0` ablation.
+/// the state an O(n) scan would have chosen. That scan lives on in the
+/// property suite (`strategy_prop`) as the reference the heap's pick
+/// sequences are compared against.
 #[derive(Debug)]
 pub struct CoverageOptimized {
     metas: HashMap<StateId, StateMeta>,
@@ -352,9 +342,6 @@ pub struct CoverageOptimized {
     /// location must invalidate the old entry even when `steps` and
     /// `affinity` happen to collide.
     heap: BinaryHeap<Reverse<CovEntry>>,
-    /// `false` selects the retained O(n) reference scan
-    /// (`SYMMERGE_COV_HEAP=0`).
-    use_heap: bool,
     /// Probability of a random pick.
     epsilon: f64,
     stats: SchedStats,
@@ -367,7 +354,6 @@ impl Default for CoverageOptimized {
             order: Vec::new(),
             pos: HashMap::new(),
             heap: BinaryHeap::new(),
-            use_heap: env_flag("SYMMERGE_COV_HEAP", true),
             epsilon: 0.25,
             stats: SchedStats::default(),
         }
@@ -375,15 +361,6 @@ impl Default for CoverageOptimized {
 }
 
 impl CoverageOptimized {
-    /// Builds the strategy with the ranked-pick implementation pinned
-    /// (`true` = heap, `false` = the O(n) reference scan), ignoring the
-    /// `SYMMERGE_COV_HEAP` environment default. The property suite uses
-    /// this to drive both implementations side by side and assert their
-    /// pick sequences are byte-identical.
-    pub fn with_heap(use_heap: bool) -> Self {
-        CoverageOptimized { use_heap, ..Default::default() }
-    }
-
     fn drop_from_order(&mut self, id: StateId) {
         if let Some(i) = self.pos.remove(&id) {
             self.order.swap_remove(i);
@@ -395,22 +372,6 @@ impl CoverageOptimized {
 
     fn dist_of(oracle: &mut dyn Oracle, meta: &StateMeta) -> u64 {
         oracle.distance_to_uncovered(meta.func, meta.block).map(u64::from).unwrap_or(u64::MAX / 2)
-    }
-
-    /// The retained O(n) reference implementation: scan every live meta
-    /// with current distances and take the key minimum. The heap path
-    /// must match this pick-for-pick (asserted by the
-    /// `cov_heap_matches_scan` property suite).
-    fn pick_ranked_scan(&self, oracle: &mut dyn Oracle) -> StateId {
-        let mut best: Option<CovKey> = None;
-        for (&id, meta) in &self.metas {
-            let dist = Self::dist_of(oracle, meta);
-            let key = (dist, u64::MAX - meta.steps, u64::MAX - meta.affinity, id);
-            if best.map_or(true, |b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.expect("non-empty").3
     }
 
     /// The O(log n) heap pick. Pops until an entry survives validation:
@@ -457,12 +418,10 @@ impl CoverageOptimized {
 
 impl Strategy for CoverageOptimized {
     fn add(&mut self, id: StateId, meta: StateMeta) {
-        if self.use_heap {
-            // Distance 0 is a lower bound (no oracle at add time); the
-            // GEN_UNKNOWN stamp forces a recompute when popped.
-            let key = (0, u64::MAX - meta.steps, u64::MAX - meta.affinity, id);
-            self.heap.push(Reverse((key, GEN_UNKNOWN, (meta.func.0, meta.block.0))));
-        }
+        // Distance 0 is a lower bound (no oracle at add time); the
+        // GEN_UNKNOWN stamp forces a recompute when popped.
+        let key = (0, u64::MAX - meta.steps, u64::MAX - meta.affinity, id);
+        self.heap.push(Reverse((key, GEN_UNKNOWN, (meta.func.0, meta.block.0))));
         self.metas.insert(id, meta);
         self.pos.insert(id, self.order.len());
         self.order.push(id);
@@ -483,11 +442,7 @@ impl Strategy for CoverageOptimized {
             self.order[k]
         } else {
             self.stats.sched_picks += 1;
-            if self.use_heap {
-                self.pick_ranked_heap(oracle)
-            } else {
-                self.pick_ranked_scan(oracle)
-            }
+            self.pick_ranked_heap(oracle)
         };
         self.drop_from_order(chosen);
         self.metas.remove(&chosen);
@@ -719,37 +674,35 @@ mod tests {
     }
 
     #[test]
-    fn coverage_heap_matches_scan_under_coverage_invalidation() {
-        // The heap with lazy repair must reproduce the O(n) scan's pick
-        // order byte for byte, including when distances are invalidated
-        // (monotonically raised) between picks. ε = 0: every pick ranked.
-        let run = |use_heap: bool| {
-            let mut oracle = TestOracle::new();
-            for b in 0..6u32 {
-                oracle.distances.insert((FuncId(0), BlockId(b)), b + 1);
-            }
-            let mut cov =
-                CoverageOptimized { epsilon: 0.0, ..CoverageOptimized::with_heap(use_heap) };
-            for i in 0..6u64 {
-                cov.add(StateId(i), meta(i as u32, 0, i));
-            }
-            let mut picks = Vec::new();
-            picks.push(cov.pick(&mut oracle).unwrap());
-            // New coverage: the closest remaining block's distance grows
-            // past everything else (non-decreasing, per the contract).
-            oracle.distances.insert((FuncId(0), BlockId(1)), 40);
-            oracle.gen += 1;
-            picks.push(cov.pick(&mut oracle).unwrap());
-            // Remove one state, raise another distance, drain.
-            cov.remove(StateId(3));
-            oracle.distances.insert((FuncId(0), BlockId(2)), 41);
-            oracle.gen += 1;
-            while let Some(id) = cov.pick(&mut oracle) {
-                picks.push(id);
-            }
-            picks
-        };
-        assert_eq!(run(true), run(false));
+    fn coverage_heap_follows_coverage_invalidation() {
+        // The heap with lazy repair must pick the current key minimum,
+        // including when distances are invalidated (monotonically
+        // raised) between picks. ε = 0: every pick ranked.
+        let mut oracle = TestOracle::new();
+        for b in 0..6u32 {
+            oracle.distances.insert((FuncId(0), BlockId(b)), b + 1);
+        }
+        let mut cov = CoverageOptimized { epsilon: 0.0, ..Default::default() };
+        for i in 0..6u64 {
+            cov.add(StateId(i), meta(i as u32, 0, i));
+        }
+        let mut picks = Vec::new();
+        picks.push(cov.pick(&mut oracle).unwrap());
+        // New coverage: the closest remaining block's distance grows
+        // past everything else (non-decreasing, per the contract).
+        oracle.distances.insert((FuncId(0), BlockId(1)), 40);
+        oracle.gen += 1;
+        picks.push(cov.pick(&mut oracle).unwrap());
+        // Remove one state, raise another distance, drain.
+        cov.remove(StateId(3));
+        oracle.distances.insert((FuncId(0), BlockId(2)), 41);
+        oracle.gen += 1;
+        while let Some(id) = cov.pick(&mut oracle) {
+            picks.push(id);
+        }
+        // Distances at each pick: {0:1, ..} → 0; block 1 raised to 40
+        // → 2 (distance 3); 3 removed → 4, 5, then 1 (distance 40).
+        assert_eq!(picks, [0, 2, 4, 5, 1].map(StateId));
     }
 
     #[test]
@@ -758,31 +711,28 @@ mod tests {
         // but with identical steps/affinity must not be served on its
         // old registration's cached distance — the location determines
         // the distance, so it is part of entry validation.
-        let run = |use_heap: bool| {
-            let mut oracle = TestOracle::new();
-            oracle.distances.insert((FuncId(0), BlockId(0)), 1);
-            oracle.distances.insert((FuncId(0), BlockId(1)), 5);
-            oracle.distances.insert((FuncId(0), BlockId(2)), 0);
-            oracle.distances.insert((FuncId(0), BlockId(3)), 3);
-            let mut cov =
-                CoverageOptimized { epsilon: 0.0, ..CoverageOptimized::with_heap(use_heap) };
-            cov.add(StateId(1), meta(0, 0, 0));
-            cov.add(StateId(2), meta(2, 0, 0));
-            let first = cov.pick(&mut oracle); // leaves a current-gen entry for id 1
-            cov.remove(StateId(1));
-            cov.add(StateId(1), meta(1, 0, 0)); // same steps/affinity, new block
-            cov.add(StateId(3), meta(3, 0, 0));
-            (first, cov.pick(&mut oracle))
-        };
-        assert_eq!(run(true), run(false), "stale relocated entry must be discarded");
-        assert_eq!(run(false), (Some(StateId(2)), Some(StateId(3))));
+        let mut oracle = TestOracle::new();
+        oracle.distances.insert((FuncId(0), BlockId(0)), 1);
+        oracle.distances.insert((FuncId(0), BlockId(1)), 5);
+        oracle.distances.insert((FuncId(0), BlockId(2)), 0);
+        oracle.distances.insert((FuncId(0), BlockId(3)), 3);
+        let mut cov = CoverageOptimized { epsilon: 0.0, ..Default::default() };
+        cov.add(StateId(1), meta(0, 0, 0));
+        cov.add(StateId(2), meta(2, 0, 0));
+        let first = cov.pick(&mut oracle); // leaves a current-gen entry for id 1
+        cov.remove(StateId(1));
+        cov.add(StateId(1), meta(1, 0, 0)); // same steps/affinity, new block
+        cov.add(StateId(3), meta(3, 0, 0));
+        let second = cov.pick(&mut oracle);
+        // Served on the stale entry, id 1 would win at distance 1.
+        assert_eq!((first, second), (Some(StateId(2)), Some(StateId(3))));
     }
 
     #[test]
     fn coverage_heap_counts_picks_and_repairs() {
         let mut oracle = TestOracle::new();
         oracle.distances.insert((FuncId(0), BlockId(0)), 5);
-        let mut cov = CoverageOptimized { epsilon: 0.0, ..CoverageOptimized::with_heap(true) };
+        let mut cov = CoverageOptimized { epsilon: 0.0, ..Default::default() };
         cov.add(StateId(1), meta(0, 0, 0));
         cov.add(StateId(2), meta(0, 0, 0));
         cov.remove(StateId(1)); // leaves a lazy-deleted heap entry

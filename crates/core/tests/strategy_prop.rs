@@ -1,15 +1,15 @@
 //! Property tests for scheduling: strategy bookkeeping under random
 //! add/remove/pick interleavings, the topological order's laws, and the
-//! byte-identity of the heapified `CoverageOptimized` against its
-//! retained O(n) reference scan.
+//! byte-identity of the heapified `CoverageOptimized` against an O(n)
+//! reference scan kept here.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use symmerge_core::strategy::{
-    make_strategy, topo_cmp, CoverageOptimized, Oracle, StateMeta, Strategy as _,
+    make_strategy, topo_cmp, CoverageOptimized, Oracle, StateMeta, Strategy as Scheduler,
 };
 use symmerge_core::{StateId, StrategyKind};
 use symmerge_ir::{BlockId, FuncId};
@@ -61,6 +61,75 @@ impl Oracle for CovOracle {
 
     fn rng(&mut self) -> &mut StdRng {
         &mut self.rng
+    }
+}
+
+/// The O(n) reference for [`CoverageOptimized`]: the same ε-random
+/// picks off the same RNG stream and the same insertion-order
+/// bookkeeping, but every ranked pick scans all live states with
+/// current distances and takes the key minimum. The heap must match it
+/// pick for pick.
+#[derive(Default)]
+struct ScanCoverage {
+    metas: HashMap<StateId, StateMeta>,
+    order: Vec<StateId>,
+    pos: HashMap<StateId, usize>,
+}
+
+impl ScanCoverage {
+    /// `CoverageOptimized`'s default random-pick probability.
+    const EPSILON: f64 = 0.25;
+
+    fn drop_from_order(&mut self, id: StateId) {
+        if let Some(i) = self.pos.remove(&id) {
+            self.order.swap_remove(i);
+            if let Some(&moved) = self.order.get(i) {
+                self.pos.insert(moved, i);
+            }
+        }
+    }
+
+    fn pick_ranked_scan(&self, oracle: &mut dyn Oracle) -> StateId {
+        let key = |(&id, meta): (&StateId, &StateMeta)| {
+            let dist = oracle
+                .distance_to_uncovered(meta.func, meta.block)
+                .map(u64::from)
+                .unwrap_or(u64::MAX / 2);
+            (dist, u64::MAX - meta.steps, u64::MAX - meta.affinity, id)
+        };
+        self.metas.iter().map(key).min().expect("non-empty").3
+    }
+}
+
+impl Scheduler for ScanCoverage {
+    fn add(&mut self, id: StateId, meta: StateMeta) {
+        self.metas.insert(id, meta);
+        self.pos.insert(id, self.order.len());
+        self.order.push(id);
+    }
+
+    fn remove(&mut self, id: StateId) -> bool {
+        self.drop_from_order(id);
+        self.metas.remove(&id).is_some()
+    }
+
+    fn pick(&mut self, oracle: &mut dyn Oracle) -> Option<StateId> {
+        if self.metas.is_empty() {
+            return None;
+        }
+        let chosen = if oracle.rng().gen_bool(Self::EPSILON) {
+            let k = oracle.rng().gen_range(0..self.order.len());
+            self.order[k]
+        } else {
+            self.pick_ranked_scan(oracle)
+        };
+        self.drop_from_order(chosen);
+        self.metas.remove(&chosen);
+        Some(chosen)
+    }
+
+    fn len(&self) -> usize {
+        self.metas.len()
     }
 }
 
@@ -167,7 +236,7 @@ proptest! {
     }
 
     /// The heapified `CoverageOptimized` pick sequence is byte-identical
-    /// to the retained O(n) reference scan across random workloads:
+    /// to the O(n) reference scan (`ScanCoverage`) across random workloads:
     /// interleaved adds (with affinity-token churn — re-registered ids
     /// carry fresh affinity/steps), removes, picks (both the ranked and
     /// the ε-random path, driven by the same RNG stream), and mid-run
@@ -179,8 +248,7 @@ proptest! {
         script in cov_ops(),
         seed in 0u64..500,
     ) {
-        let run = |use_heap: bool| {
-            let mut strategy = CoverageOptimized::with_heap(use_heap);
+        let run = |strategy: &mut dyn Scheduler| {
             let mut oracle = CovOracle::new(seed);
             let mut live: HashSet<u64> = HashSet::new();
             let mut picks: Vec<Option<StateId>> = Vec::new();
@@ -221,7 +289,10 @@ proptest! {
             }
             picks
         };
-        prop_assert_eq!(run(true), run(false));
+        prop_assert_eq!(
+            run(&mut CoverageOptimized::default()),
+            run(&mut ScanCoverage::default())
+        );
     }
 
     /// `topo_cmp` is a total preorder consistent with its intended law:

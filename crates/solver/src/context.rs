@@ -71,32 +71,18 @@ impl Default for SolverContext {
 }
 
 impl SolverContext {
-    /// Creates a context with an empty prefix. The SAT-level ccmin and
-    /// blaster ite-factoring knobs take their environment defaults
-    /// (`SYMMERGE_SAT_CCMIN` / `SYMMERGE_ITE_FACTOR`, both on); see
-    /// [`SolverContext::with_options`] for explicit control.
+    /// Creates a context with an empty prefix, conflict-clause
+    /// minimization and ite-chain factoring on.
     pub fn new() -> Self {
-        let blaster = BitBlaster::new();
-        let sat = SatSolver::from_cnf(blaster.cnf());
-        let clauses_fed = blaster.cnf().num_clauses();
-        SolverContext {
-            blaster,
-            sat,
-            clauses_fed,
-            prefix: Vec::new(),
-            norm_set: Vec::new(),
-            norm_hash: 0,
-            norm_false: false,
-            last_used: 0,
-            sat_extras: Vec::new(),
-            compacted: 0,
-        }
+        Self::with_options(true, true)
     }
 
     /// Creates a context with conflict-clause minimization and ite-chain
-    /// factoring explicitly on or off, independent of the environment.
-    /// Both knobs are pure query-shrinking levers: verdicts and canonical
-    /// models are identical either way.
+    /// factoring explicitly on or off. Both knobs are pure
+    /// query-shrinking levers: verdicts and canonical models are
+    /// identical either way. The solver always runs with both on; the
+    /// off sides survive as the reference the shrink property suite
+    /// compares against.
     pub fn with_options(sat_ccmin: bool, ite_factor: bool) -> Self {
         let blaster = BitBlaster::with_ite_factor(ite_factor);
         let mut sat = SatSolver::from_cnf(blaster.cnf());

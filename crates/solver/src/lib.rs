@@ -34,8 +34,9 @@
 //!   identical across solver configurations and runs.
 //!
 //! Each tier can be disabled through [`SolverConfig`] for ablation
-//! benchmarks (see also the `SYMMERGE_SOLVER_*` environment overrides it
-//! reads, which the CI feature matrix uses).
+//! benchmarks and differential oracles. The defaults are constants; the
+//! `SYMMERGE_SOLVER_*` environment switches the CI feature matrix sets
+//! are parsed by the `symmerge_core::env` boundary, not here.
 //!
 //! # Example
 //!

@@ -11,11 +11,10 @@
 //! 3. **counterexample cache** — subset/superset reasoning: a stored
 //!    unsat set that is a *subset* of the query proves the query unsat; a
 //!    stored sat set that is a *superset* of the query donates its model.
-//!    Subset scans are prefiltered by 64-bit membership signatures
-//!    ([`SolverConfig::cex_prefilter`]), and tiers 2–3 are skipped
-//!    entirely for small context-served queries, where the warm context
-//!    below is cheaper than the tiers themselves
-//!    ([`SolverConfig::tier_gate`]);
+//!    Subset scans are prefiltered by 64-bit membership signatures,
+//!    and tiers 2–3 are skipped entirely for small context-served
+//!    queries, where the warm context below is cheaper than the tiers
+//!    themselves ([`SolverConfig::tier_gate`]);
 //! 4. **incremental contexts** — for prefix-shaped queries
 //!    ([`Solver::check_assuming`]), a [`SolverContext`] from the
 //!    **fork-aware context tree** keeps the path-condition prefix
@@ -66,14 +65,12 @@ impl SatResult {
 
 /// Configuration for [`Solver`].
 ///
-/// [`SolverConfig::default`] reads the `SYMMERGE_SOLVER_*` environment
-/// variables (`CACHE`, `MODEL_REUSE`, `INDEPENDENCE`, `CEX_CACHE`,
-/// `CEX_PREFILTER`, `INCREMENTAL`, `CTX_FORK`; value `0`/`false`/`off`
-/// disables — plus `TIER_GATE`, a conjunct count where `0` disables the
-/// gate), which is how the CI feature-matrix job runs the whole test
-/// suite under each ablation.
-/// Tests that assert the behaviour of a specific tier pin that field
-/// explicitly.
+/// [`SolverConfig::default`] is a set of constants: every tier on, the
+/// measured gate and budgets. It reads no environment. The
+/// `SYMMERGE_SOLVER_*` ablation switches are parsed once, at the
+/// `symmerge_core::env` boundary, by the callers that opt in (the CLI,
+/// the bench harnesses and the differential test harness). Tests that
+/// assert the behaviour of a specific tier pin that field explicitly.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Enable the query result cache (exact match on the constraint set).
@@ -89,16 +86,6 @@ pub struct SolverConfig {
     /// cores answer superset queries, stored sat sets answer subset
     /// queries.
     pub use_cex_cache: bool,
-    /// Prefilter counterexample-cache subset scans with per-set 64-bit
-    /// membership signatures (the OR of each element's hash mapped to
-    /// one of 64 bits). `a ⊆ b` requires `sig(a) & !sig(b) == 0`, so one
-    /// AND/compare rejects most stored sets before the O(n·m) linear
-    /// merge runs — the scan over up to [`SolverConfig::cex_capacity`]
-    /// stored sets was a per-query cost charged even when the cache
-    /// never hit. `SYMMERGE_SOLVER_CEX_PREFILTER=0` restores the
-    /// unfiltered scans (the ablation leg; results are identical, only
-    /// the scan cost moves).
-    pub cex_prefilter: bool,
     /// Query-size gate for the model-reuse and counterexample tiers on
     /// **warm context-served** queries: a prefix-shaped query whose
     /// normalized set has at most this many conjuncts, and whose
@@ -116,32 +103,13 @@ pub struct SolverConfig {
     /// jobs = 2 doubled the wall). The exact-match cache (tier 1)
     /// stays on for every query, and re-blast-path queries are never
     /// gated (there a tier hit still saves a full CNF build). `0`
-    /// disables the gate (`SYMMERGE_SOLVER_TIER_GATE` overrides; the
-    /// ablation leg). Default measured on `wc`@6 Random (`tier_sweep`):
+    /// disables the gate (the `SYMMERGE_SOLVER_TIER_GATE=0` ablation
+    /// leg). Default measured on `wc`@6 Random (`tier_sweep`):
     /// see [`SolverConfig::default`].
     pub tier_gate: usize,
     /// Answer prefix-shaped queries ([`Solver::check_assuming`]) on
     /// persistent incremental [`SolverContext`]s instead of re-blasting.
     pub use_incremental: bool,
-    /// Fork a warm context at branch divergences (clone the clause
-    /// database, learnt clauses and heuristic state) so both children
-    /// extend the shared prefix, instead of one child inheriting the
-    /// context and its sibling re-blasting the prefix from scratch.
-    /// `false` restores the move-only (re-blast fallback) behaviour.
-    pub ctx_fork: bool,
-    /// Recursive conflict-clause minimization (MiniSat-style ccmin) in
-    /// the CDCL solver's first-UIP analysis: drop learnt literals whose
-    /// reason antecedents are dominated by the clause. Shrinks learnt
-    /// clauses — observable as `learnt_lits` — without changing any
-    /// verdict. `SYMMERGE_SAT_CCMIN=0` is the ablation leg.
-    pub sat_ccmin: bool,
-    /// Ite-aware blasting for merge-produced ite-chains: factor the
-    /// shared selector conditions into a one-hot arm vector encoded once
-    /// per chain instead of per output bit, and hash-cons gates at the
-    /// CNF level (`gates_reused`) so sibling chains share circuitry.
-    /// Pure CNF-size lever; verdicts and canonical models are
-    /// unchanged. `SYMMERGE_ITE_FACTOR=0` is the ablation leg.
-    pub ite_factor: bool,
     /// Return the *canonical minimal model* for every sat query (the
     /// lexicographically least model by symbol **name**, each value
     /// minimized MSB first). Makes models — and therefore generated
@@ -174,31 +142,23 @@ pub struct SolverConfig {
     /// resident context is never evicted); `0` disables the incremental
     /// path even if `use_incremental` is set.
     ///
-    /// Under clause-weighted eviction ([`SolverConfig::
-    /// ctx_evict_by_clauses`]) the effective count capacity *adapts*:
-    /// it is `max(max_contexts, frontier hint)` (the engine reports its
-    /// live worklist size through [`Solver::set_frontier_hint`]), so a
-    /// deep exploration whose divergence frontier outgrows the floor no
-    /// longer churns forks through a fixed-size pool — residency is
-    /// then bounded by [`SolverConfig::max_context_clauses`], the
-    /// measure that actually tracks memory. With clause weighting off
-    /// (`SYMMERGE_CTX_EVICT=count`) this is the fixed capacity, exactly
-    /// the pre-PR-5 policy.
+    /// The effective count capacity *adapts*: it is `max(max_contexts,
+    /// frontier hint)` (the engine reports its live worklist size
+    /// through [`Solver::set_frontier_hint`]), so a deep exploration
+    /// whose divergence frontier outgrows the floor does not churn
+    /// forks through a fixed-size pool. Residency is instead charged by
+    /// **live SAT clauses** (CNF + learnt) and bounded by
+    /// [`SolverConfig::max_context_clauses`], the measure that actually
+    /// tracks memory: contexts differ in size by orders of magnitude —
+    /// a root context is a few clauses, a deep loop prefix tens of
+    /// thousands — so counting them equally either wastes the budget
+    /// on tiny contexts or blows the memory bound on huge ones.
     pub max_contexts: usize,
-    /// Charge context residency by **live SAT clauses** (CNF + learnt)
-    /// instead of context count, and let the count capacity track the
-    /// engine's frontier (see [`SolverConfig::max_contexts`]). Contexts
-    /// differ in size by orders of magnitude — a root context is a few
-    /// clauses, a deep loop prefix tens of thousands — so counting them
-    /// equally either wastes the budget on tiny contexts or blows the
-    /// memory bound on huge ones. `SYMMERGE_CTX_EVICT=count` restores
-    /// count-based eviction (the ablation leg).
-    pub ctx_evict_by_clauses: bool,
-    /// Total live-clause budget for resident contexts under
-    /// clause-weighted eviction (`SYMMERGE_MAX_CTX_CLAUSES` overrides).
-    /// Eviction frees least-recently-used leaves until the tree is back
-    /// under budget; the budget may transiently overshoot by one
-    /// context's growth between queries.
+    /// Total live-clause budget for resident contexts (the deployment
+    /// setting `SYMMERGE_MAX_CTX_CLAUSES` overrides it). Eviction frees
+    /// least-recently-used leaves until the tree is back under budget;
+    /// the budget may transiently overshoot by one context's growth
+    /// between queries.
     pub max_context_clauses: u64,
     /// How many unsat cores / sat sets the counterexample cache retains
     /// (each, FIFO-evicted).
@@ -218,33 +178,21 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            use_cache: env_flag("SYMMERGE_SOLVER_CACHE", true),
-            use_model_reuse: env_flag("SYMMERGE_SOLVER_MODEL_REUSE", true),
-            use_independence: env_flag("SYMMERGE_SOLVER_INDEPENDENCE", true),
-            use_cex_cache: env_flag("SYMMERGE_SOLVER_CEX_CACHE", true),
-            cex_prefilter: env_flag("SYMMERGE_SOLVER_CEX_PREFILTER", true),
+            use_cache: true,
+            use_model_reuse: true,
+            use_independence: true,
+            use_cex_cache: true,
             // Swept on `wc`@6 Random (`ctx_stats`): query sizes there
             // concentrate at 20–36 conjuncts and a context hit beats
             // the skipped tiers across the whole range, so the default
             // sits above the observed sizes; larger values were
             // indistinguishable (the tiers only start winning on
             // re-blast queries, which are never gated).
-            tier_gate: match std::env::var("SYMMERGE_SOLVER_TIER_GATE") {
-                Ok(v) => {
-                    v.trim().parse().expect("SYMMERGE_SOLVER_TIER_GATE takes a conjunct count")
-                }
-                Err(_) => 64,
-            },
-            use_incremental: env_flag("SYMMERGE_SOLVER_INCREMENTAL", true),
-            ctx_fork: env_flag("SYMMERGE_SOLVER_CTX_FORK", true),
-            sat_ccmin: env_flag("SYMMERGE_SAT_CCMIN", true),
-            ite_factor: env_flag("SYMMERGE_ITE_FACTOR", true),
+            tier_gate: 64,
+            use_incremental: true,
             canonical_models: false,
             max_conflicts: None,
-            retry_ladder: match std::env::var("SYMMERGE_SOLVER_RETRY_LADDER") {
-                Ok(v) => parse_retry_ladder(&v),
-                Err(_) => vec![4, 16],
-            },
+            retry_ladder: vec![4, 16],
             model_history: 32,
             // 4 → 16 in PR 3 (measured rebuild thrash under interleaving
             // strategies); 16 → 64 with the fork-aware tree: forked
@@ -257,47 +205,16 @@ impl Default for SolverConfig {
             // engine's frontier hint and residency is bounded by
             // `max_context_clauses`.
             max_contexts: 64,
-            ctx_evict_by_clauses: !matches!(
-                std::env::var("SYMMERGE_CTX_EVICT").as_deref().map(str::trim),
-                Ok("count")
-            ),
             // Measured on `wc`@Random stdin 6 (`ctx_stats`): the whole
             // live frontier's contexts fit in ~1M clauses (~tens of MB),
             // which eliminates the forks≈evictions churn of the fixed
             // 64-slot capacity while keeping residency bounded on
             // deeper runs.
-            max_context_clauses: match std::env::var("SYMMERGE_MAX_CTX_CLAUSES") {
-                Ok(v) => v.trim().parse().expect("SYMMERGE_MAX_CTX_CLAUSES takes a clause count"),
-                Err(_) => 1_000_000,
-            },
+            max_context_clauses: 1_000_000,
             cex_capacity: 256,
-            shared_cache: env_flag("SYMMERGE_SHARED_CACHE", true),
+            shared_cache: true,
         }
     }
-}
-
-/// Reads a boolean ablation flag from the environment.
-pub(crate) fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => default,
-    }
-}
-
-/// Parses a `SYMMERGE_SOLVER_RETRY_LADDER` value: comma-separated budget
-/// multipliers, or `0`/`off`/`false`/`no`/empty to disable the ladder.
-fn parse_retry_ladder(v: &str) -> Vec<u64> {
-    let v = v.trim();
-    if matches!(v, "" | "0" | "false" | "off" | "no") {
-        return Vec::new();
-    }
-    v.split(',')
-        .map(|m| {
-            m.trim()
-                .parse()
-                .expect("SYMMERGE_SOLVER_RETRY_LADDER takes comma-separated multipliers")
-        })
-        .collect()
 }
 
 /// Hard ceiling on any retry rung's conflict budget — the ladder
@@ -525,10 +442,9 @@ impl QueryCache {
 /// independence slices or dead context prefixes are smaller than the
 /// queries that produced them.
 ///
-/// Every stored set carries its membership [`signature`]; with the
-/// prefilter on ([`SolverConfig::cex_prefilter`]) a subset scan tests one
-/// AND/compare per stored set and runs the linear merge only on
-/// survivors. Both stores enforce `capacity` by FIFO eviction
+/// Every stored set carries its membership [`signature`], so a subset
+/// scan tests one AND/compare per stored set and runs the linear merge
+/// only on survivors. Both stores enforce `capacity` by FIFO eviction
 /// independently — overfilling one side can never evict the other's
 /// entries (they are separate queues by construction; the regression
 /// test `cex_capacity_is_enforced_per_store` pins that down).
@@ -542,7 +458,6 @@ struct CexCache {
     unsat_sets: VecDeque<(u64, Box<[ExprId]>)>,
     sat_sets: VecDeque<(u64, Box<[ExprId]>, Model)>,
     capacity: usize,
-    prefilter: bool,
 }
 
 /// Boundary assertion for the sorted, deduplicated set invariant.
@@ -554,21 +469,19 @@ fn debug_assert_normalized(set: &[ExprId]) {
 }
 
 impl CexCache {
-    fn new(capacity: usize, prefilter: bool) -> Self {
-        CexCache { unsat_sets: VecDeque::new(), sat_sets: VecDeque::new(), capacity, prefilter }
+    fn new(capacity: usize) -> Self {
+        CexCache { unsat_sets: VecDeque::new(), sat_sets: VecDeque::new(), capacity }
     }
 
     /// One-word refutation of `a ⊆ b` (true = the merge must run).
-    fn may_subset(prefilter: bool, sig_a: u64, sig_b: u64) -> bool {
-        !prefilter || sig_a & !sig_b == 0
+    fn may_subset(sig_a: u64, sig_b: u64) -> bool {
+        sig_a & !sig_b == 0
     }
 
     /// Does a stored unsat core prove `set` (with signature `sig`) unsat?
     fn implies_unsat(&self, sig: u64, set: &[ExprId]) -> bool {
         debug_assert_normalized(set);
-        self.unsat_sets
-            .iter()
-            .any(|(s, u)| Self::may_subset(self.prefilter, *s, sig) && is_subset(u, set))
+        self.unsat_sets.iter().any(|(s, u)| Self::may_subset(*s, sig) && is_subset(u, set))
     }
 
     /// A model from a stored sat superset of `set`, if any.
@@ -576,23 +489,17 @@ impl CexCache {
         debug_assert_normalized(set);
         self.sat_sets
             .iter()
-            .find(|(s, sup, _)| Self::may_subset(self.prefilter, sig, *s) && is_subset(set, sup))
+            .find(|(s, sup, _)| Self::may_subset(sig, *s) && is_subset(set, sup))
             .map(|(_, _, m)| m)
     }
 
     fn note_unsat(&mut self, set: &[ExprId]) {
         debug_assert_normalized(set);
         let sig = signature(set);
-        let pf = self.prefilter;
-        if self.capacity == 0
-            || self
-                .unsat_sets
-                .iter()
-                .any(|(s, u)| Self::may_subset(pf, *s, sig) && is_subset(u, set))
-        {
+        if self.capacity == 0 || self.implies_unsat(sig, set) {
             return; // already covered by a stored (smaller) core
         }
-        self.unsat_sets.retain(|(s, u)| !(Self::may_subset(pf, sig, *s) && is_subset(set, u)));
+        self.unsat_sets.retain(|(s, u)| !(Self::may_subset(sig, *s) && is_subset(set, u)));
         while self.unsat_sets.len() >= self.capacity {
             self.unsat_sets.pop_front();
         }
@@ -602,16 +509,10 @@ impl CexCache {
     fn note_sat(&mut self, set: &[ExprId], m: &Model) {
         debug_assert_normalized(set);
         let sig = signature(set);
-        let pf = self.prefilter;
-        if self.capacity == 0
-            || self
-                .sat_sets
-                .iter()
-                .any(|(s, sup, _)| Self::may_subset(pf, sig, *s) && is_subset(set, sup))
-        {
+        if self.capacity == 0 || self.model_for_subset(sig, set).is_some() {
             return; // a stored superset already answers everything this would
         }
-        self.sat_sets.retain(|(s, sub, _)| !(Self::may_subset(pf, *s, sig) && is_subset(sub, set)));
+        self.sat_sets.retain(|(s, sub, _)| !(Self::may_subset(*s, sig) && is_subset(sub, set)));
         while self.sat_sets.len() >= self.capacity {
             self.sat_sets.pop_front();
         }
@@ -946,9 +847,9 @@ pub struct Solver {
     tree: ContextTree,
     ctx_clock: u64,
     last_affinity: u64,
-    /// The engine's last-reported live worklist size; under
-    /// clause-weighted eviction the context-count capacity tracks it
-    /// (see [`SolverConfig::max_contexts`]).
+    /// The engine's last-reported live worklist size; the
+    /// context-count capacity tracks it (see
+    /// [`SolverConfig::max_contexts`]).
     frontier_hint: usize,
     /// Per-conjunct DAG sizes and input-symbol sets. Sound to memoize
     /// because a solver serves one (append-only) pool — every cache in
@@ -985,7 +886,7 @@ struct ForcedUnknowns {
 impl Solver {
     /// Creates a solver with the given configuration.
     pub fn new(config: SolverConfig) -> Self {
-        let cex = CexCache::new(config.cex_capacity, config.cex_prefilter);
+        let cex = CexCache::new(config.cex_capacity);
         Solver {
             config,
             cache: QueryCache::default(),
@@ -1067,9 +968,9 @@ impl Solver {
         self.shared.as_ref().map_or(0, SharedCacheMirror::entries)
     }
 
-    /// Reports the caller's live exploration-frontier size. Under
-    /// clause-weighted eviction the context tree's count capacity tracks
-    /// this hint (never dropping below [`SolverConfig::max_contexts`]),
+    /// Reports the caller's live exploration-frontier size. The context
+    /// tree's count capacity tracks this hint (never dropping below
+    /// [`SolverConfig::max_contexts`]),
     /// so residency follows the frontier instead of churning forked
     /// contexts through a fixed-size pool; the clause budget
     /// ([`SolverConfig::max_context_clauses`]) remains the memory bound.
@@ -1079,25 +980,20 @@ impl Solver {
     }
 
     /// The effective context-count capacity (see
-    /// [`SolverConfig::max_contexts`]): under clause-weighted eviction
-    /// it tracks **twice** the frontier hint — the tree usefully holds
-    /// up to one leaf context per live state *plus* the divergence
-    /// ancestors their pending siblings will come back for, and the
-    /// clause budget (not the count) is the real memory bound.
+    /// [`SolverConfig::max_contexts`]): it tracks **twice** the
+    /// frontier hint — the tree usefully holds up to one leaf context
+    /// per live state *plus* the divergence ancestors their pending
+    /// siblings will come back for, and the clause budget (not the
+    /// count) is the real memory bound.
     fn ctx_capacity(&self) -> usize {
-        if self.config.ctx_evict_by_clauses {
-            self.config.max_contexts.max(self.frontier_hint.saturating_mul(2))
-        } else {
-            self.config.max_contexts
-        }
+        self.config.max_contexts.max(self.frontier_hint.saturating_mul(2))
     }
 
     /// Whether the tree currently needs an eviction before another
     /// context can be placed.
     fn ctx_over_budget(&self) -> bool {
         self.tree.resident >= self.ctx_capacity()
-            || (self.config.ctx_evict_by_clauses
-                && self.tree.resident_clauses > self.config.max_context_clauses)
+            || self.tree.resident_clauses > self.config.max_context_clauses
     }
 
     /// Evicts LRU leaves (sparing `keep`) until the tree is back under
@@ -1683,8 +1579,7 @@ impl Solver {
                 // Forking adds a net context; only do it when a slot is
                 // free or some *other* leaf can make room (evicting the
                 // ancestor we fork to preserve would defeat the point).
-                let fork = self.config.ctx_fork
-                    && sibling_evidence
+                let fork = sibling_evidence
                     && (self.tree.resident < self.ctx_capacity() || self.tree.has_evictable(n));
                 let mut ctx = if fork {
                     self.stats.ctx_forks += 1;
@@ -1711,8 +1606,7 @@ impl Solver {
             None => {
                 self.stats.ctx_rebuilds += 1;
                 self.ctx_make_room(None);
-                let mut ctx =
-                    SolverContext::with_options(self.config.sat_ccmin, self.config.ite_factor);
+                let mut ctx = SolverContext::new();
                 for &c in prefix {
                     ctx.assert_constraint(pool, c);
                 }
@@ -1856,10 +1750,7 @@ impl Solver {
     /// Costs are charged to the ordinary counters (`ctx_rebuilds` /
     /// `ctx_forks` / `ctx_evictions`), and eviction policy applies as
     /// usual. Deterministic: the build order depends only on the prefix
-    /// sets. With `ctx_fork` off the seeded evidence is moot — the
-    /// ablated solver never clones contexts — and prewarming degrades
-    /// to building the shared trunks that straight-line extension then
-    /// consumes.
+    /// sets.
     pub fn prewarm_contexts(
         &mut self,
         pool: &ExprPool,
@@ -2028,7 +1919,7 @@ impl Solver {
         // Re-blast CNF construction is routing/preparation work, kept
         // out of the sat window (which opens below at solver start).
         let route_start = Instant::now();
-        let mut bb = BitBlaster::with_ite_factor(self.config.ite_factor);
+        let mut bb = BitBlaster::default();
         for &c in slice {
             bb.assert_true(pool, c);
         }
@@ -2036,7 +1927,6 @@ impl Solver {
         self.stats.route_time += route_start.elapsed();
         let sat_start = Instant::now();
         let mut sat = SatSolver::from_cnf(bb.cnf());
-        sat.set_ccmin(self.config.sat_ccmin);
         sat.set_conflict_budget(budget);
         let outcome = sat.solve();
         let result = match &outcome {
@@ -2435,7 +2325,7 @@ mod tests {
         let not_c = p.uge(x, fifty);
         let d = p.ult(y, ten);
         let e = p.ugt(y, ten);
-        let mut s = Solver::new(SolverConfig { use_incremental: true, ctx_fork: true, ..bare() });
+        let mut s = Solver::new(SolverConfig { use_incremental: true, ..bare() });
         // The branch: both polarities on the same prefix (one build).
         assert!(s.check_assuming(&p, &[pre], c).is_sat());
         assert!(s.check_assuming(&p, &[pre], not_c).is_sat());
@@ -2470,7 +2360,7 @@ mod tests {
         let ok = p.ne(x, forty);
         let bad = p.eq(x, forty);
         let t = p.true_();
-        let mut s = Solver::new(SolverConfig { use_incremental: true, ctx_fork: true, ..bare() });
+        let mut s = Solver::new(SolverConfig { use_incremental: true, ..bare() });
         // The assert pattern: probe the violation, continue with `ok`.
         assert!(s.check_assuming_probe(&p, &[pre], bad).is_sat());
         assert!(s.check_assuming(&p, &[pre], ok).is_sat());
@@ -2479,28 +2369,6 @@ mod tests {
         assert!(s.check_assuming(&p, &[pre, ok], t).is_sat());
         assert_eq!(s.stats().ctx_forks, 0, "a probe must not fake a sibling");
         assert_eq!(s.stats().ctx_rebuilds, 1);
-    }
-
-    #[test]
-    fn ctx_fork_off_restores_the_reblast_fallback() {
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let hundred = p.bv_const(100, 8);
-        let fifty = p.bv_const(50, 8);
-        let pre = p.ult(x, hundred);
-        let c = p.ult(x, fifty);
-        let not_c = p.uge(x, fifty);
-        let t = p.true_();
-        let mut s = Solver::new(SolverConfig { use_incremental: true, ctx_fork: false, ..bare() });
-        assert!(s.check_assuming(&p, &[pre], c).is_sat());
-        assert!(s.check_assuming(&p, &[pre], not_c).is_sat());
-        // Child 1 moves the context; child 2's prefix re-blasts.
-        assert!(s.check_assuming(&p, &[pre, c], t).is_sat());
-        assert_eq!(s.stats().ctx_forks, 0);
-        assert_eq!(s.stats().ctx_rebuilds, 1);
-        assert!(s.check_assuming(&p, &[pre, not_c], t).is_sat());
-        assert_eq!(s.stats().ctx_forks, 0, "ablated solver must never fork");
-        assert_eq!(s.stats().ctx_rebuilds, 2, "ablated solver re-blasts the sibling");
     }
 
     #[test]
@@ -2520,12 +2388,7 @@ mod tests {
         let not_c = p.uge(x, fifty);
         let b = p.ult(y, ten);
         let t = p.true_();
-        let mut s = Solver::new(SolverConfig {
-            use_incremental: true,
-            ctx_fork: true,
-            max_contexts: 2,
-            ..bare()
-        });
+        let mut s = Solver::new(SolverConfig { use_incremental: true, max_contexts: 2, ..bare() });
         // Divergence at [a]: both polarities recorded, then child 1
         // forks — [a] (live ancestor) and [a, c] (leaf) resident.
         assert!(s.check_assuming(&p, &[a], c).is_sat());
@@ -2565,12 +2428,7 @@ mod tests {
         // Probe: how many clauses does the [a] context alone hold after
         // answering both branch polarities (the extras' circuitry is
         // blasted into the context too)?
-        let probe_cfg = SolverConfig {
-            use_incremental: true,
-            ctx_fork: true,
-            ctx_evict_by_clauses: true,
-            ..bare()
-        };
+        let probe_cfg = SolverConfig { use_incremental: true, ..bare() };
         let mut probe = Solver::new(probe_cfg.clone());
         assert!(probe.check_assuming(&p, &[a], c).is_sat());
         assert!(probe.check_assuming(&p, &[a], not_c).is_sat());
@@ -2600,22 +2458,18 @@ mod tests {
 
     #[test]
     fn adaptive_capacity_tracks_the_frontier_hint() {
-        // Three unrelated prefixes against a count floor of 2: the fixed
-        // count policy churns, the clause-weighted policy lets the
-        // capacity follow the reported frontier and keeps all three.
+        // Three unrelated prefixes against a count floor of 2: with no
+        // frontier reported the floor is the capacity and churns; a
+        // reported frontier lifts the capacity and keeps all three.
         let mut p = pool();
         let syms: Vec<_> = (0..3).map(|i| p.input(&format!("v{i}"), 8)).collect();
         let ten = p.bv_const(10, 8);
         let prefixes: Vec<ExprId> = syms.iter().map(|&v| p.ult(v, ten)).collect();
         let t = p.true_();
-        let run = |by_clauses: bool| {
-            let mut s = Solver::new(SolverConfig {
-                use_incremental: true,
-                max_contexts: 2,
-                ctx_evict_by_clauses: by_clauses,
-                ..bare()
-            });
-            s.set_frontier_hint(10);
+        let run = |frontier: usize| {
+            let mut s =
+                Solver::new(SolverConfig { use_incremental: true, max_contexts: 2, ..bare() });
+            s.set_frontier_hint(frontier);
             for &pre in &prefixes {
                 assert!(s.check_assuming(&p, &[pre], t).is_sat());
             }
@@ -2623,11 +2477,11 @@ mod tests {
             assert!(s.check_assuming(&p, &[prefixes[0]], t).is_sat());
             *s.stats()
         };
-        let adaptive = run(true);
-        let fixed = run(false);
+        let adaptive = run(10);
+        let fixed = run(0);
         assert_eq!(adaptive.ctx_evictions, 0, "capacity must follow the frontier hint");
         assert_eq!(adaptive.ctx_rebuilds, 3, "each prefix built once, all stay resident");
-        assert!(fixed.ctx_evictions >= 1, "the fixed-count ablation must still churn");
+        assert!(fixed.ctx_evictions >= 1, "the bare count floor must churn");
         assert!(fixed.ctx_rebuilds > adaptive.ctx_rebuilds, "churn re-blasts the first prefix");
     }
 
@@ -2647,7 +2501,7 @@ mod tests {
         let c = p.ult(x, fifty);
         let not_c = p.uge(x, fifty);
         let d = p.ult(y, ten);
-        let mut s = Solver::new(SolverConfig { use_incremental: true, ctx_fork: true, ..bare() });
+        let mut s = Solver::new(SolverConfig { use_incremental: true, ..bare() });
         let p1 = [pre, c];
         let p2 = [pre, not_c];
         let tokens = s.prewarm_contexts(&p, &[(&p1, None), (&p2, None)]);
@@ -2697,7 +2551,7 @@ mod tests {
         let c = p.ult(x, fifty);
         let not_c = p.uge(x, fifty);
         let d = p.ult(y, ten);
-        let mut s = Solver::new(SolverConfig { use_incremental: true, ctx_fork: true, ..bare() });
+        let mut s = Solver::new(SolverConfig { use_incremental: true, ..bare() });
         let seed = [pre];
         let tokens = s.prewarm_contexts(&p, &[(&seed, Some(c)), (&seed, Some(not_c))]);
         assert!(tokens.iter().all(|&t| t > 0), "the duplicated seed must materialize");
@@ -2719,8 +2573,7 @@ mod tests {
         let pre = p.ult(x, ten);
         let c = p.ugt(x, five);
         let run = || {
-            let mut s =
-                Solver::new(SolverConfig { use_incremental: true, ctx_fork: true, ..bare() });
+            let mut s = Solver::new(SolverConfig { use_incremental: true, ..bare() });
             assert_eq!(s.last_affinity(), 0, "no context activity yet");
             let _ = s.check_assuming(&p, &[pre], c);
             let t1 = s.last_affinity();
@@ -2945,7 +2798,7 @@ mod tests {
             .collect();
         let mut m = Model::new();
         m.set(p.intern_symbol("x"), 0);
-        let mut cache = CexCache::new(2, true);
+        let mut cache = CexCache::new(2);
         cache.note_sat(&[ids[0]], &m);
         for &id in &ids[1..] {
             cache.note_unsat(&[id]);
@@ -2962,6 +2815,8 @@ mod tests {
 
     #[test]
     fn cex_prefilter_answers_identically_to_unfiltered_scans() {
+        // The reference is a plain `is_subset` scan over every noted
+        // set; subsumption inside the cache never changes its answers.
         let mut p = pool();
         let x = p.input("x", 8);
         let ids: Vec<ExprId> = (0..6u64)
@@ -2974,13 +2829,11 @@ mod tests {
         sorted.sort_unstable();
         let mut m = Model::new();
         m.set(p.intern_symbol("x"), 0);
-        let mut filtered = CexCache::new(8, true);
-        let mut plain = CexCache::new(8, false);
-        for c in [&sorted[0..2], &sorted[2..5], &sorted[1..3]] {
+        let mut filtered = CexCache::new(8);
+        let noted = [&sorted[0..2], &sorted[2..5], &sorted[1..3]];
+        for c in noted {
             filtered.note_unsat(c);
-            plain.note_unsat(c);
             filtered.note_sat(c, &m);
-            plain.note_sat(c, &m);
         }
         // Probe every contiguous sub-range: subsets, supersets, misses.
         for lo in 0..sorted.len() {
@@ -2989,12 +2842,12 @@ mod tests {
                 let sig = signature(q);
                 assert_eq!(
                     filtered.implies_unsat(sig, q),
-                    plain.implies_unsat(sig, q),
+                    noted.iter().any(|u| is_subset(u, q)),
                     "prefilter changed an unsat-scan verdict for {q:?}"
                 );
                 assert_eq!(
                     filtered.model_for_subset(sig, q).is_some(),
-                    plain.model_for_subset(sig, q).is_some(),
+                    noted.iter().any(|sup| is_subset(q, sup)),
                     "prefilter changed a sat-scan verdict for {q:?}"
                 );
             }
@@ -3016,7 +2869,7 @@ mod tests {
                 .collect()
         };
         let (lo, hi) = if ids[0] < ids[1] { (ids[0], ids[1]) } else { (ids[1], ids[0]) };
-        let cache = CexCache::new(4, true);
+        let cache = CexCache::new(4);
         let _ = cache.implies_unsat(signature(&[hi, lo]), &[hi, lo]);
     }
 
@@ -3054,15 +2907,6 @@ mod tests {
         assert_eq!(ladder_budget(RETRY_BUDGET_CAP, 2), RETRY_BUDGET_CAP);
         assert_eq!(ladder_budget(u64::MAX, u64::MAX), RETRY_BUDGET_CAP);
         assert_eq!(ladder_budget((1 << 30) - 1, 1), (1 << 30) - 1);
-    }
-
-    #[test]
-    fn retry_ladder_parse_accepts_lists_and_off_values() {
-        assert_eq!(parse_retry_ladder("4,16"), vec![4, 16]);
-        assert_eq!(parse_retry_ladder(" 2 , 8 , 32 "), vec![2, 8, 32]);
-        assert_eq!(parse_retry_ladder("off"), Vec::<u64>::new());
-        assert_eq!(parse_retry_ladder("0"), Vec::<u64>::new());
-        assert_eq!(parse_retry_ladder(""), Vec::<u64>::new());
     }
 
     #[test]

@@ -279,10 +279,10 @@ proptest! {
     }
 }
 
-/// The incremental config with context forking pinned on (caches off so
-/// every query really exercises the context tree).
+/// The incremental config (caches off so every query really exercises
+/// the context tree and its forks).
 fn fork_config() -> SolverConfig {
-    SolverConfig { use_incremental: true, ctx_fork: true, ..no_cache_config() }
+    SolverConfig { use_incremental: true, ..no_cache_config() }
 }
 
 proptest! {
@@ -340,64 +340,23 @@ proptest! {
         }
     }
 
-    /// The `ctx_fork` ablation is result-invariant: the same query
-    /// sequence on fork-on and fork-off solvers produces identical
-    /// verdicts and identical canonical models — forking only changes
-    /// *where* the work happens, never the answer.
-    #[test]
-    fn fork_ablation_is_result_invariant(
-        r1 in recipe(),
-        r2 in recipe(),
-        op in cmp_op(),
-    ) {
-        let mut p = ExprPool::new(WIDTH);
-        let a = build(&mut p, &r1);
-        let b = build(&mut p, &r2);
-        let k = p.bv_const(9, WIDTH);
-        let pre = p.ult(a, k);
-        let ext = p.cmp(op, b, k);
-        let not_ext = p.not(ext);
-        let t = p.true_();
-        let canonical = |cfg: SolverConfig| SolverConfig { canonical_models: true, ..cfg };
-        let mut on = Solver::new(canonical(fork_config()));
-        let mut off = Solver::new(canonical(SolverConfig { ctx_fork: false, ..fork_config() }));
-        for s in [&mut on, &mut off] {
-            let _ = s.check_assuming(&p, &[pre], ext);
-            let _ = s.check_assuming(&p, &[pre], not_ext);
-        }
-        let queries: [(&[ExprId], ExprId); 3] =
-            [(&[pre, ext], t), (&[pre, not_ext], t), (&[pre, ext], not_ext)];
-        for (prefix, extra) in queries {
-            let ra = on.check_assuming(&p, prefix, extra);
-            let rb = off.check_assuming(&p, prefix, extra);
-            prop_assert_eq!(ra, rb, "fork ablation changed a result");
-        }
-        prop_assert_eq!(off.stats().ctx_forks, 0, "ablated solver must not fork");
-    }
 }
 
 /// The full default pipeline — every cache tier on, incremental contexts
 /// on — with canonical models so byte-equality of models is meaningful,
-/// and the tier gate / cex signature prefilter pinned explicitly.
-fn tiered_config(tier_gate: usize, cex_prefilter: bool) -> SolverConfig {
-    SolverConfig {
-        use_incremental: true,
-        canonical_models: true,
-        tier_gate,
-        cex_prefilter,
-        ..Default::default()
-    }
+/// and the tier gate pinned explicitly.
+fn tiered_config(tier_gate: usize) -> SolverConfig {
+    SolverConfig { use_incremental: true, canonical_models: true, tier_gate, ..Default::default() }
 }
 
 proptest! {
     // Cases and seed are pinned so CI runs are exactly reproducible.
     #![proptest_config(ProptestConfig::with_cases(96).seed(0x6A7E_D00F))]
 
-    /// The tier gate and the cex signature prefilter are pure routing
-    /// shortcuts: the same query sequence on the default (gated,
-    /// prefiltered) pipeline and on an ungated, unfiltered reference must
+    /// The tier gate is a pure routing shortcut: the same query sequence
+    /// on the default (gated) pipeline and on an ungated reference must
     /// produce identical verdicts and byte-identical canonical models —
-    /// the shortcuts may change which tier answers, never the answer.
+    /// the shortcut may change which tier answers, never the answer.
     /// Repeated queries and polarity flips drive every tier: exact-cache
     /// hits, cex subsumption, and context-served small queries that the
     /// gate reroutes.
@@ -419,8 +378,8 @@ proptest! {
         let extra = p.cmp(op, c, k);
         let not_extra = p.not(extra);
         let t = p.true_();
-        let mut gated = Solver::new(tiered_config(64, true));
-        let mut ungated = Solver::new(tiered_config(0, false));
+        let mut gated = Solver::new(tiered_config(64));
+        let mut ungated = Solver::new(tiered_config(0));
         let queries: [(&[ExprId], ExprId); 6] = [
             (&[pre], ext),
             (&[pre], not_ext),
@@ -432,7 +391,7 @@ proptest! {
         for (prefix, e) in queries {
             let rg = gated.check_assuming(&p, prefix, e);
             let ru = ungated.check_assuming(&p, prefix, e);
-            prop_assert_eq!(&rg, &ru, "gate/prefilter ablation changed a result");
+            prop_assert_eq!(&rg, &ru, "the tier gate changed a result");
             if let SatResult::Sat(m) = &rg {
                 let mut set: Vec<ExprId> = prefix.to_vec();
                 set.push(e);

@@ -72,7 +72,7 @@ fn test_bytes(report: &RunReport) -> Vec<TestBytes> {
 }
 
 /// One exhaustive parallel run with the shared-cache fabric pinned
-/// explicitly (ignoring `SYMMERGE_SHARED_CACHE`), canonical models on,
+/// explicitly, canonical models on,
 /// and the same tiny round quota the top-level differential uses so
 /// states migrate across workers constantly.
 fn run(

@@ -1,14 +1,17 @@
 //! Property tests for the merged-state query-shrinking pipeline: learnt-
-//! clause minimization (`SYMMERGE_SAT_CCMIN`), ite-aware blasting
-//! (`SYMMERGE_ITE_FACTOR`), and fork-time clause-DB compaction. Each
-//! shrinking layer is ablated against a reference configuration — the
-//! layers may shrink the CNF and the learnt store, never the answer.
+//! clause minimization (ccmin), ite-aware blasting, and fork-time
+//! clause-DB compaction. The solver always runs every layer; each is
+//! checked against a reference [`SolverContext`] built with that layer
+//! off — the layers may shrink the CNF and the learnt store, never the
+//! answer.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use symmerge_expr::{BvBinOp, CmpOp, ExprId, ExprPool};
 use symmerge_solver::bitblast::BitBlaster;
-use symmerge_solver::{SatResult, SatSolver, SolveOutcome, Solver, SolverConfig, SolverContext};
+use symmerge_solver::{
+    Model, SatResult, SatSolver, SolveOutcome, Solver, SolverConfig, SolverContext,
+};
 
 const WIDTH: u32 = 8;
 const NUM_INPUTS: usize = 3;
@@ -109,7 +112,6 @@ fn ite_chain(p: &mut ExprPool, n: usize) -> ExprId {
 fn base_config() -> SolverConfig {
     SolverConfig {
         use_incremental: true,
-        ctx_fork: true,
         canonical_models: true,
         use_cache: false,
         use_model_reuse: false,
@@ -118,33 +120,80 @@ fn base_config() -> SolverConfig {
     }
 }
 
-/// Runs the same query sequence on both solvers and demands identical
-/// verdicts and byte-identical canonical models, then checks the timing
-/// split invariant on each.
-fn assert_result_invariant(
-    p: &ExprPool,
-    a: &mut Solver,
-    b: &mut Solver,
+/// The canonical minimal model of `ctx ∧ extra` over the inputs of
+/// `set`: symbols in name order, each value minimized MSB first. It is
+/// derived bit by bit through the public `solve_assuming_probe` alone,
+/// independently of the solver's own minimization, so it is the
+/// reference the solver's canonical models must equal byte for byte.
+fn least_model(p: &mut ExprPool, ctx: &mut SolverContext, set: &[ExprId], extra: ExprId) -> Model {
+    let mut syms = p.collect_inputs_many(set);
+    syms.sort_unstable_by(|a, b| p.symbol_name(*a).cmp(p.symbol_name(*b)));
+    let mut pinned = vec![extra];
+    let mut model = Model::new();
+    for sym in syms {
+        let name = p.symbol_name(sym).to_owned();
+        let x = p.input(&name, WIDTH);
+        let mut value = 0u64;
+        for i in (0..WIDTH).rev() {
+            // Can bit `i` be 0 with the higher bits at their minimum?
+            let mask = p.bv_const((0xFF << i) & 0xFF, WIDTH);
+            let high = p.bv(BvBinOp::And, x, mask);
+            let want = p.bv_const(value, WIDTH);
+            let probe = p.eq(high, want);
+            pinned.push(probe);
+            if !matches!(ctx.solve_assuming_probe(p, &pinned, None), SolveOutcome::Sat(_)) {
+                value |= 1 << i;
+            }
+            pinned.pop();
+        }
+        let v = p.bv_const(value, WIDTH);
+        let pin = p.eq(x, v);
+        pinned.push(pin);
+        model.set(sym, value);
+    }
+    model
+}
+
+/// Decides each `(prefix, extra)` query on the default solver (context
+/// forks, compaction, ccmin and ite factoring all on, canonical models)
+/// and on a fresh `reference()` context holding `prefix`, then demands
+/// identical verdicts and, on sat, a solver model byte-identical to the
+/// reference context's canonical minimal model. Finally checks the
+/// solver's timing split invariant.
+fn assert_matches_reference(
+    p: &mut ExprPool,
+    reference: impl Fn() -> SolverContext,
     queries: &[(&[ExprId], ExprId)],
     what: &str,
 ) -> Result<(), TestCaseError> {
+    let mut solver = Solver::new(base_config());
     for &(prefix, extra) in queries {
-        let ra = a.check_assuming(p, prefix, extra);
-        let rb = b.check_assuming(p, prefix, extra);
-        prop_assert_eq!(&ra, &rb, "{} ablation changed a result", what);
+        let mut set: Vec<ExprId> = prefix.to_vec();
+        set.push(extra);
+        let ra = solver.check_assuming(p, prefix, extra);
+        let mut ctx = reference();
+        for &c in prefix {
+            ctx.assert_constraint(p, c);
+        }
+        let rb = ctx.solve_assuming(p, &[extra], None);
+        let same = matches!(
+            (&ra, &rb),
+            (SatResult::Sat(_), SolveOutcome::Sat(_))
+                | (SatResult::Unsat, SolveOutcome::Unsat)
+                | (SatResult::Unknown, SolveOutcome::Unknown)
+        );
+        prop_assert!(same, "{} off changed a verdict: {:?}", what, ra);
         if let SatResult::Sat(m) = &ra {
-            let mut set: Vec<ExprId> = prefix.to_vec();
-            set.push(extra);
-            prop_assert!(m.satisfies(p, &set), "bogus model with {} on", what);
+            prop_assert!(m.satisfies(p, &set), "bogus solver model");
+            let least = least_model(p, &mut ctx, &set, extra);
+            prop_assert_eq!(m, &least, "{} off changed the canonical model", what);
         }
     }
-    for s in [&a, &b] {
-        let st = s.stats();
-        prop_assert!(
-            st.time >= st.sat_time + st.cache_time + st.route_time,
-            "sat_time + cache_time + route_time exceed total solver time"
-        );
-    }
+    let st = solver.stats();
+    prop_assert!(
+        st.time >= st.sat_time + st.cache_time + st.route_time,
+        "sat_time + cache_time + route_time exceed total solver time"
+    );
     Ok(())
 }
 
@@ -169,8 +218,6 @@ proptest! {
         let ext = p.cmp(op, b, k);
         let not_ext = p.not(ext);
         let t = p.true_();
-        let mut on = Solver::new(SolverConfig { sat_ccmin: true, ..base_config() });
-        let mut off = Solver::new(SolverConfig { sat_ccmin: false, ..base_config() });
         let queries: [(&[ExprId], ExprId); 5] = [
             (&[pre], ext),
             (&[pre], not_ext),
@@ -178,7 +225,7 @@ proptest! {
             (&[pre, not_ext], t),
             (&[pre, ext], not_ext),
         ];
-        assert_result_invariant(&p, &mut on, &mut off, &queries, "ccmin")?;
+        assert_matches_reference(&mut p, || SolverContext::with_options(false, true), &queries, "ccmin")?;
     }
 
     /// Minimized learnt clauses are still logical consequences of the
@@ -236,15 +283,14 @@ proptest! {
         let ext = p.cmp(op, chain, k);
         let not_ext = p.not(ext);
         let t = p.true_();
-        let mut on = Solver::new(SolverConfig { ite_factor: true, ..base_config() });
-        let mut off = Solver::new(SolverConfig { ite_factor: false, ..base_config() });
         let queries: [(&[ExprId], ExprId); 4] = [
             (&[pre], ext),
             (&[pre], not_ext),
             (&[pre, ext], t),
             (&[pre, not_ext], t),
         ];
-        assert_result_invariant(&p, &mut on, &mut off, &queries, "ite-factor")?;
+        let reference = || SolverContext::with_options(true, false);
+        assert_matches_reference(&mut p, reference, &queries, "ite-factor")?;
     }
 
     /// Fork-time compaction only discards satisfied or subsumed learnt
@@ -290,9 +336,10 @@ proptest! {
         }
     }
 
-    /// The full pipeline with every shrinking layer on against a solver
-    /// with all of them off: identical verdicts, byte-identical canonical
-    /// models, across a fork-driving query sequence.
+    /// The full pipeline with every shrinking layer on against fresh
+    /// contexts with all of them off (no forks, so no fork-time
+    /// compaction): identical verdicts and byte-identical canonical
+    /// models across a fork-driving query sequence.
     #[test]
     fn all_shrinking_layers_vs_reference(
         r1 in recipe(),
@@ -308,17 +355,6 @@ proptest! {
         let ext = p.ule(b, chain);
         let not_ext = p.not(ext);
         let t = p.true_();
-        let mut on = Solver::new(SolverConfig {
-            sat_ccmin: true,
-            ite_factor: true,
-            ..base_config()
-        });
-        let mut off = Solver::new(SolverConfig {
-            sat_ccmin: false,
-            ite_factor: false,
-            ctx_fork: false,
-            ..base_config()
-        });
         let queries: [(&[ExprId], ExprId); 6] = [
             (&[pre], ext),
             (&[pre], not_ext),
@@ -327,7 +363,8 @@ proptest! {
             (&[pre, ext], not_ext),
             (&[pre, not_ext], ext),
         ];
-        assert_result_invariant(&p, &mut on, &mut off, &queries, "query-shrinking")?;
+        let reference = || SolverContext::with_options(false, false);
+        assert_matches_reference(&mut p, reference, &queries, "query-shrinking")?;
     }
 }
 

@@ -7,6 +7,10 @@
 //! symmerge qce program.mc                      # dump QCE hot-variable tables
 //! symmerge workloads                           # list bundled mini-COREUTILS
 //! ```
+//!
+//! `run` starts from the configuration the `SYMMERGE_*` environment
+//! selects (`symmerge::core::env`); a malformed value is a usage error
+//! (exit code 2). `qce` and `workloads` read no environment.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -82,7 +86,7 @@ fn qce_config(args: &Args) -> Result<QceConfig, String> {
     Ok(qce)
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args, base: EngineConfig) -> Result<(), String> {
     let [_, path] = args.positional.as_slice() else {
         return Err("run: expected exactly one input file".into());
     };
@@ -103,6 +107,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         other => return Err(format!("--strategy: unknown strategy `{other}`")),
     };
     let mut builder = Engine::builder(program.clone())
+        .config(base)
         .merging(merge)
         .strategy(strategy)
         .qce(qce_config(args)?)
@@ -232,7 +237,13 @@ fn main() -> ExitCode {
     let args = Args::parse(&raw);
     let Some(cmd) = args.positional.first() else { return usage() };
     let result = match cmd.as_str() {
-        "run" => cmd_run(&args),
+        "run" => match symmerge::core::env::from_env() {
+            Ok((base, _)) => cmd_run(&args, base),
+            Err(e) => {
+                eprintln!("symmerge: {e}");
+                return ExitCode::from(2);
+            }
+        },
         "qce" => cmd_qce(&args),
         "workloads" => cmd_workloads(),
         _ => return usage(),

@@ -9,10 +9,26 @@
 //! coverage, path counts). [`assert_mode_invariant`] then compares a
 //! merged-mode observation against the unmerged baseline and asserts the
 //! paper's `∼qce`-soundness invariants.
+//!
+//! Every run starts from [`env_configs`], so the `SYMMERGE_*` oracle
+//! and deployment settings (the CI ablation legs) steer the whole
+//! differential; library defaults read no environment.
 
 use std::collections::BTreeSet;
 use symmerge::prelude::*;
 use symmerge::workloads::by_name;
+
+/// The engine and fleet configurations the `SYMMERGE_*` environment
+/// selects (the library defaults when none is set). Panics, naming the
+/// variable, on a malformed value.
+pub fn env_configs() -> (EngineConfig, ParallelConfig) {
+    symmerge::core::env::from_env().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The solver configuration the environment selects.
+pub fn env_solver() -> SolverConfig {
+    env_configs().0.solver
+}
 
 /// One concrete behaviour class: how a replay terminated (including the
 /// assertion message, if any) plus the exact output bytes.
@@ -78,6 +94,7 @@ pub fn observe(
     let program =
         by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}")).program(&cfg);
     let report = Engine::builder(program.clone())
+        .config(env_configs().0)
         .merging(mode)
         .strategy(strategy)
         .qce(QceConfig { alpha: 1e-12, ..QceConfig::default() })
@@ -202,6 +219,7 @@ pub fn run_with_solver(
     let program =
         by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}")).program(&cfg);
     let report = Engine::builder(program)
+        .config(env_configs().0)
         .merging(mode)
         .strategy(strategy)
         .qce(QceConfig { alpha: 1e-12, ..QceConfig::default() })
@@ -330,13 +348,13 @@ fn run_parallel_program(
         mode,
         strategy,
         solver,
-        ParallelConfig { jobs, steps_per_round: 48, ..Default::default() },
+        ParallelConfig { jobs, steps_per_round: 48, ..env_configs().1 },
     )
 }
 
 /// [`run_parallel_program`] with an explicit [`ParallelConfig`], for the
 /// scheduler-differential legs that pin the scheduler regardless of the
-/// `SYMMERGE_SCHEDULER` environment.
+/// `SYMMERGE_SCHEDULER` setting.
 fn run_parallel_program_with(
     program: Program,
     workload: &str,
@@ -352,7 +370,7 @@ fn run_parallel_program_with(
         qce: QceConfig { alpha: 1e-12, ..QceConfig::default() },
         solver,
         seed: 11,
-        ..EngineConfig::default()
+        ..env_configs().0
     };
     let report =
         ParallelEngine::new(program, config, par).expect("workload programs validate").run();
@@ -392,7 +410,7 @@ pub fn run_parallel_steal(
             jobs,
             steps_per_round: 48,
             scheduler: SchedulerKind::Steal,
-            ..Default::default()
+            ..env_configs().1
         },
     );
     assert_eq!(
@@ -463,14 +481,8 @@ pub fn observe_parallel(
 ) -> Observation {
     let program =
         by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}")).program(&cfg);
-    let report = run_parallel_program(
-        program.clone(),
-        workload,
-        mode,
-        strategy,
-        SolverConfig::default(),
-        jobs,
-    );
+    let report =
+        run_parallel_program(program.clone(), workload, mode, strategy, env_solver(), jobs);
     assert!(
         !report.tests.is_empty(),
         "{workload} {mode:?}/{strategy:?} jobs={jobs}: produced no test cases to replay"

@@ -23,8 +23,8 @@ mod common;
 
 use common::{
     assert_exact_baseline, assert_mode_invariant, assert_parallel_matches_sequential,
-    assert_solver_config_invariant, observe, observe_parallel, run_parallel, run_parallel_steal,
-    run_with_solver,
+    assert_solver_config_invariant, env_solver, observe, observe_parallel, run_parallel,
+    run_parallel_steal, run_with_solver,
 };
 use symmerge::prelude::*;
 
@@ -75,6 +75,7 @@ const WORKLOADS_FULL_ONLY: &[(&str, InputConfig)] = &[
 ];
 
 /// Whether the `SYMMERGE_DIFF_FULL=1` gate is set.
+#[allow(clippy::disallowed_methods)] // A test gate, not engine configuration.
 fn full_sweep() -> bool {
     std::env::var("SYMMERGE_DIFF_FULL").is_ok_and(|v| !matches!(v.trim(), "" | "0" | "off"))
 }
@@ -168,9 +169,8 @@ fn differential_full_sweep_seq_paste_comm_expand_tsort() {
 /// strict equality.
 fn solver_differential_for(workloads: &[(&str, InputConfig)]) {
     let incremental =
-        SolverConfig { use_incremental: true, canonical_models: true, ..SolverConfig::default() };
-    let reblast =
-        SolverConfig { use_incremental: false, canonical_models: true, ..SolverConfig::default() };
+        SolverConfig { use_incremental: true, canonical_models: true, ..env_solver() };
+    let reblast = SolverConfig { use_incremental: false, canonical_models: true, ..env_solver() };
     for &(name, cfg) in workloads {
         for (mode, strategy) in
             [(MergeMode::None, StrategyKind::Bfs), (MergeMode::Static, StrategyKind::Topological)]
@@ -198,23 +198,21 @@ fn solver_differential_stdin_and_mixed_workloads() {
 }
 
 /// The cache-tier differential: the tier gate (small context-served
-/// queries skip the cex scan and model re-evaluation) and the cex
-/// signature prefilter are pure shortcuts — they may change which tier
-/// answers a query, never the answer. Running the default (gated,
-/// prefiltered) pipeline against a reference with both shortcuts
-/// disabled, on both solver paths, must be byte-identical under
-/// canonical models.
+/// queries skip the cex scan and model re-evaluation) is a pure
+/// shortcut — it may change which tier answers a query, never the
+/// answer. Running the default (gated) pipeline against an ungated
+/// reference (`tier_gate: 0`), on both solver paths, must be
+/// byte-identical under canonical models.
 fn tier_pipeline_differential_for(workloads: &[(&str, InputConfig)]) {
     for &(name, cfg) in workloads {
         for use_incremental in [true, false] {
             let gated = SolverConfig {
                 use_incremental,
                 canonical_models: true,
-                cex_prefilter: true,
                 tier_gate: 64,
-                ..SolverConfig::default()
+                ..env_solver()
             };
-            let ungated = SolverConfig { cex_prefilter: false, tier_gate: 0, ..gated.clone() };
+            let ungated = SolverConfig { tier_gate: 0, ..gated.clone() };
             for (mode, strategy) in [
                 (MergeMode::None, StrategyKind::Bfs),
                 (MergeMode::Static, StrategyKind::Topological),
@@ -247,7 +245,7 @@ fn tier_pipeline_differential_stdin_and_mixed_workloads() {
 /// bytes"; the tiny round quota in `run_parallel` forces heavy
 /// cross-worker migration on every workload.
 fn parallel_differential_for(workloads: &[(&str, InputConfig)]) {
-    let solver = SolverConfig { canonical_models: true, ..SolverConfig::default() };
+    let solver = SolverConfig { canonical_models: true, ..env_solver() };
     for &(name, cfg) in workloads {
         let sequential =
             run_with_solver(name, cfg, MergeMode::None, StrategyKind::Bfs, solver.clone());
@@ -284,7 +282,7 @@ fn parallel_differential_stdin_and_mixed_workloads() {
 /// scheduling is timing-dependent; `MergeMode::None`'s schedule-invariant
 /// path set is what keeps the *results* byte-comparable anyway.
 fn steal_differential_for(workloads: &[(&str, InputConfig)]) {
-    let solver = SolverConfig { canonical_models: true, ..SolverConfig::default() };
+    let solver = SolverConfig { canonical_models: true, ..env_solver() };
     for &(name, cfg) in workloads {
         let sequential =
             run_with_solver(name, cfg, MergeMode::None, StrategyKind::Bfs, solver.clone());
@@ -343,7 +341,7 @@ fn parallel_merged_modes_preserve_mode_invariance() {
 /// byte for byte.
 #[test]
 fn parallel_runs_are_reproducible_per_seed_and_jobs() {
-    let solver = SolverConfig { canonical_models: true, ..SolverConfig::default() };
+    let solver = SolverConfig { canonical_models: true, ..env_solver() };
     for &(name, cfg) in &[WORKLOADS[1], WORKLOADS[9]] {
         for (mode, strategy) in [
             (MergeMode::None, StrategyKind::Random),
@@ -373,7 +371,7 @@ fn parallel_runs_are_reproducible_per_seed_and_jobs() {
 /// from the solver's deterministic context clock, never from wall-clock.
 #[test]
 fn affinity_scheduling_is_seed_reproducible() {
-    let solver = SolverConfig { canonical_models: true, ..SolverConfig::default() };
+    let solver = SolverConfig { canonical_models: true, ..env_solver() };
     for &(name, cfg) in &[WORKLOADS[8], WORKLOADS[0]] {
         let run = || {
             run_with_solver(
@@ -403,11 +401,12 @@ fn affinity_scheduling_is_seed_reproducible() {
 /// generated-test bytes — only the order of exploration may differ.
 #[test]
 fn affinity_scheduling_is_result_invariant_without_merging() {
-    let solver = SolverConfig { canonical_models: true, ..SolverConfig::default() };
+    let solver = SolverConfig { canonical_models: true, ..env_solver() };
     for &(name, cfg) in &[WORKLOADS[8], WORKLOADS[6]] {
         let run = |affinity: bool| {
             let program = symmerge::workloads::by_name(name).unwrap().program(&cfg);
             let report = Engine::builder(program)
+                .config(common::env_configs().0)
                 .merging(MergeMode::None)
                 .strategy(StrategyKind::CoverageOptimized)
                 .qce(QceConfig { alpha: 1e-12, ..QceConfig::default() })

@@ -36,15 +36,18 @@ const WORKLOADS: &[(&str, InputConfig)] = &[
     ("wc", InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 }),
 ];
 
+/// The suite's engine configuration, on the base the `SYMMERGE_*`
+/// environment selects, with `fault` installed programmatically.
 fn engine_config(fault: Option<&str>) -> EngineConfig {
+    let (base, _) = symmerge::core::env::from_env().unwrap_or_else(|e| panic!("{e}"));
     EngineConfig {
         merge_mode: MergeMode::None,
         strategy: StrategyKind::Bfs,
         qce: QceConfig { alpha: 1e-12, ..QceConfig::default() },
-        solver: SolverConfig { canonical_models: true, ..SolverConfig::default() },
+        solver: SolverConfig { canonical_models: true, ..base.solver.clone() },
         seed: 11,
         fault_plan: fault.map(|s| Arc::new(FaultPlan::parse(s).expect("test fault plan parses"))),
-        ..EngineConfig::default()
+        ..base
     }
 }
 
