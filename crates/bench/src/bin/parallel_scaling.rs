@@ -65,7 +65,7 @@ fn main() {
         "tool,symbolic_bytes,scheduler,jobs,shared,wall_ms,speedup,steps,completed_paths,sat_calls,\
          sat_time_ms,cache_time_ms,route_time_ms,ctx_hits,ctx_rebuilds,ctx_forks,ctx_evictions,\
          clauses_resident,clauses_evicted,clauses_compacted,sched_picks,sched_heap_repairs,\
-         steals,stolen_states,idle_waits,envelope_exports,envelope_nodes,\
+         steals,stolen_states,idle_waits,\
          shared_query_hits,shared_cex_hits,shared_publishes,dropped_unknown",
     );
     println!("# parallel_scaling: exhaustive MergeMode::None exploration, bsp vs steal scheduler");
@@ -74,13 +74,13 @@ fn main() {
     );
     println!("# cache_time: fleet cache-tier bookkeeping; route_time: query routing/blast prep");
     println!("# ctx columns: fleet context-tree totals (hits/rebuilds/forks/evictions)");
-    println!("# steals/idle: steal-scheduler traffic; envelopes: BSP serialization the steal");
-    println!("#   scheduler avoids (steal rows must read 0/0 — direct Send over the shared pool)");
+    println!("# steal s/w/i: steal batches (steal only) / states moved between workers (both");
+    println!("#   schedulers) / idle waits (steal only)");
     println!("# shared axis: cross-worker solver-cache fabric off/on; shr q/c/p =");
     println!("#   shared_query_hits/shared_cex_hits/shared_publishes (fleet totals); every");
     println!("#   point's canonical tests are asserted byte-identical to the off/bsp/jobs=1 cell");
     println!(
-        "{:10} {:>6} {:>6} {:>5} {:>4} {:>12} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>22} {:>14} {:>17} {:>13} {:>15}",
+        "{:10} {:>6} {:>6} {:>5} {:>4} {:>12} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>22} {:>14} {:>17} {:>15}",
         "tool",
         "bytes",
         "sched",
@@ -97,7 +97,6 @@ fn main() {
         "ctx h/r/f/e",
         "steal s/w/i",
         "sched p/r",
-        "env e/n",
         "shr q/c/p"
     );
     let mut dropped_total = 0u64;
@@ -154,13 +153,6 @@ fn main() {
                          diverged from the sequential reference"
                         );
                     }
-                    if scheduler == SchedulerKind::Steal {
-                        assert_eq!(
-                            (report.envelope_exports, report.envelope_nodes),
-                            (0, 0),
-                            "{tool} jobs={jobs}: steal mode serialized a PortableState envelope"
-                        );
-                    }
                     let speedup = t1.as_secs_f64() / wall.as_secs_f64().max(1e-9);
                     let s = &report.solver;
                     let sched_label = match scheduler {
@@ -174,14 +166,13 @@ fn main() {
                     let stealing =
                         format!("{}/{}/{}", report.steals, report.stolen_states, report.idle_waits);
                     let sched = format!("{}/{}", report.sched_picks, report.sched_heap_repairs);
-                    let env = format!("{}/{}", report.envelope_exports, report.envelope_nodes);
                     let shr = format!(
                         "{}/{}/{}",
                         s.shared_query_hits, s.shared_cex_hits, s.shared_publishes
                     );
                     let shared_label = if shared { "on" } else { "off" };
                     println!(
-                    "{tool:10} {:>6} {sched_label:>6} {jobs:>5} {shared_label:>4} {:>12.2?} {:>8.2}x {:>10} {:>10} {:>10} {:>10.2?} {:>10.2?} {:>10.2?} {ctx:>22} {stealing:>14} {sched:>17} {env:>13} {shr:>15}",
+                    "{tool:10} {:>6} {sched_label:>6} {jobs:>5} {shared_label:>4} {:>12.2?} {:>8.2}x {:>10} {:>10} {:>10} {:>10.2?} {:>10.2?} {:>10.2?} {ctx:>22} {stealing:>14} {sched:>17} {shr:>15}",
                     cfg.symbolic_bytes(),
                     wall,
                     speedup,
@@ -193,7 +184,7 @@ fn main() {
                     s.route_time
                 );
                     csv.row(&format!(
-                    "{tool},{},{sched_label},{jobs},{shared_label},{:.3},{:.3},{},{},{},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                    "{tool},{},{sched_label},{jobs},{shared_label},{:.3},{:.3},{},{},{},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                     cfg.symbolic_bytes(),
                     wall.as_secs_f64() * 1e3,
                     speedup,
@@ -215,8 +206,6 @@ fn main() {
                     report.steals,
                     report.stolen_states,
                     report.idle_waits,
-                    report.envelope_exports,
-                    report.envelope_nodes,
                     s.shared_query_hits,
                     s.shared_cex_hits,
                     s.shared_publishes,

@@ -4,19 +4,21 @@
 //! continue and still produce the *same* final report as the
 //! uninterrupted run would have: the result accumulators (completed
 //! paths, tests, failures, coverage, drop counters), the RNG stream,
-//! and the whole live frontier as [`PortableState`] envelopes. The
-//! envelopes reuse the migration codec from [`crate::shard`], so a
-//! checkpoint written by a 4-worker fleet can be resumed sequentially
-//! and vice versa — an envelope does not care which scheduler re-hosts
-//! it.
+//! and the whole live frontier as [`PortableState`] records. A
+//! `PortableState` is a state flattened onto a pool-free
+//! [`PortableDag`], so a checkpoint written by a 4-worker fleet can be
+//! resumed sequentially and vice versa — the record does not care which
+//! pool or scheduler re-hosts it. It exists only for checkpoints: fleet
+//! workers share one expression pool and move live states directly
+//! ([`crate::shard::MovedState`]).
 //!
 //! Sequential engines write checkpoints themselves every
 //! [`CheckpointConfig::every`] picks (the `SYMMERGE_CHECKPOINT_PATH` /
 //! `SYMMERGE_CHECKPOINT_EVERY` deployment settings, parsed by the
 //! [`crate::env`] boundary); BSP fleets checkpoint at round
-//! barriers through their coordinator, which merges per-worker
-//! snapshots with the coordinator's own pending envelopes via
-//! `merge_parts`. Files are written atomically (sibling temp file +
+//! barriers through their coordinator, which exports the states it is
+//! routing between workers and merges them with per-worker snapshots
+//! via `merge_parts`. Files are written atomically (sibling temp file +
 //! rename), so a kill mid-write leaves the previous checkpoint intact.
 //!
 //! The on-disk format is a versioned little-endian byte stream —
@@ -33,13 +35,18 @@
 //! and failure list. Scheduling artifacts — `max_worklist`, wall time,
 //! solver timings — are not part of that contract.
 
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use symmerge_expr::{BoolBinOp, BvBinOp, CmpOp, PortableDag, PortableNode};
+use symmerge_expr::{
+    BoolBinOp, BvBinOp, CmpOp, DagExporter, ExprPool, PortableDag, PortableNode, PortableRef,
+};
+use symmerge_ir::{BlockId, FuncId, LocalId};
 
-use crate::shard::{PortableFrame, PortableSlot, PortableState};
+use crate::shard::{MovedState, RegionId};
+use crate::state::{Frame, Slot, State, StateId};
 use crate::testgen::{TestCase, TestKind};
 
 /// File magic: "SMCK" — symmerge checkpoint.
@@ -58,11 +65,11 @@ pub struct CheckpointConfig {
 
 /// A resumable snapshot of an exploration (see the [module docs](self)
 /// and [`Engine::restore_checkpoint`](crate::Engine::restore_checkpoint)).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Checkpoint {
     /// The run's base seed (informational; the live stream is `rng`).
     pub seed: u64,
-    /// Next fresh [`StateId`](crate::StateId) word.
+    /// Next fresh [`StateId`] word.
     pub next_id: u64,
     /// The engine RNG's raw xoshiro256** state words.
     pub rng: [u64; 4],
@@ -96,8 +103,152 @@ pub struct Checkpoint {
     /// path condition does not survive the pool boundary and the
     /// failures' tests are already in `tests`.
     pub failures: Vec<(String, (u32, u32, u32))>,
-    /// The live frontier as portable envelopes.
+    /// The live frontier as pool-independent records.
     pub frontier: Vec<PortableState>,
+}
+
+/// One local slot of a [`PortableState`].
+#[derive(Debug, Clone)]
+pub(crate) enum PortableSlot {
+    Int(PortableRef),
+    Array(Vec<PortableRef>),
+}
+
+/// One call-stack frame of a [`PortableState`].
+#[derive(Debug, Clone)]
+pub(crate) struct PortableFrame {
+    pub(crate) func: u32,
+    pub(crate) block: u32,
+    pub(crate) instr: u32,
+    pub(crate) ret_dest: Option<u32>,
+    pub(crate) locals: Vec<PortableSlot>,
+}
+
+/// A frontier state (plus its engine-side DSM bookkeeping) flattened
+/// into a pool-independent record — the checkpoint's frontier format.
+#[derive(Debug, Clone)]
+pub struct PortableState {
+    /// The state's region when it was recorded.
+    pub region: RegionId,
+    /// The recording worker's index.
+    pub origin_shard: u32,
+    /// Per-worker sequence number; `(origin_shard, origin_seq)` totally
+    /// orders a frontier, which makes resume order deterministic.
+    pub origin_seq: u64,
+    pub(crate) dag: PortableDag,
+    pub(crate) frames: Vec<PortableFrame>,
+    pub(crate) globals: Vec<PortableSlot>,
+    pub(crate) pc: Vec<PortableRef>,
+    pub(crate) outputs: Vec<PortableRef>,
+    pub(crate) multiplicity: f64,
+    pub(crate) steps: u64,
+    pub(crate) sym_counters: Vec<(String, u32)>,
+    pub(crate) history: Vec<u64>,
+    pub(crate) ff: bool,
+    /// The warm-prefix seed ([`MovedState::warm_len`]), clamped to the
+    /// pc length.
+    pub(crate) warm_len: u32,
+}
+
+impl PortableState {
+    /// Flattens `moved`, whose expressions live in `pool`.
+    pub(crate) fn export(pool: &ExprPool, moved: &MovedState) -> PortableState {
+        let state = &moved.state;
+        let mut exp = DagExporter::new(pool);
+        let slot = |exp: &mut DagExporter<'_>, s: &Slot| match s {
+            Slot::Int(e) => PortableSlot::Int(exp.add(*e)),
+            Slot::Array(cells) => PortableSlot::Array(cells.iter().map(|&c| exp.add(c)).collect()),
+        };
+        let frames = state
+            .frames
+            .iter()
+            .map(|f| PortableFrame {
+                func: f.func.0,
+                block: f.block.0,
+                instr: f.instr,
+                ret_dest: f.ret_dest.map(|d| d.0),
+                locals: f.locals.iter().map(|s| slot(&mut exp, s)).collect(),
+            })
+            .collect();
+        let globals = state.globals.iter().map(|s| slot(&mut exp, s)).collect();
+        let pc: Vec<PortableRef> = state.pc.iter().map(|&c| exp.add(c)).collect();
+        let outputs = state.outputs.iter().map(|&o| exp.add(o)).collect();
+        let mut sym_counters: Vec<(String, u32)> =
+            state.sym_counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        sym_counters.sort();
+        PortableState {
+            region: moved.region,
+            origin_shard: moved.origin_shard,
+            origin_seq: moved.origin_seq,
+            dag: exp.finish(),
+            frames,
+            globals,
+            warm_len: moved.warm_len.min(pc.len() as u32),
+            pc,
+            outputs,
+            multiplicity: state.multiplicity,
+            steps: state.steps,
+            sym_counters,
+            history: moved.history.iter().copied().collect(),
+            ff: moved.ff,
+        }
+    }
+
+    /// Re-interns the state into `pool`. The record's state id is a
+    /// placeholder — the engine that integrates it assigns a fresh one —
+    /// and its affinity token is 0 ("context cold here").
+    pub(crate) fn import(&self, pool: &mut ExprPool) -> MovedState {
+        let ids = self.dag.import(pool);
+        let slot = |s: &PortableSlot| match s {
+            PortableSlot::Int(r) => Slot::Int(ids[*r as usize]),
+            PortableSlot::Array(cells) => {
+                Slot::Array(cells.iter().map(|&c| ids[c as usize]).collect())
+            }
+        };
+        let frames: Vec<Frame> = self
+            .frames
+            .iter()
+            .map(|f| Frame {
+                func: FuncId(f.func),
+                block: BlockId(f.block),
+                instr: f.instr,
+                locals: f.locals.iter().map(slot).collect(),
+                ret_dest: f.ret_dest.map(LocalId),
+            })
+            .collect();
+        let state = State {
+            id: StateId(0),
+            frames,
+            globals: self.globals.iter().map(slot).collect(),
+            pc: self.pc.iter().map(|&c| ids[c as usize]).collect(),
+            outputs: self.outputs.iter().map(|&o| ids[o as usize]).collect(),
+            multiplicity: self.multiplicity,
+            steps: self.steps,
+            sym_counters: self
+                .sym_counters
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect::<HashMap<String, u32>>(),
+            affinity: 0,
+        };
+        MovedState {
+            state,
+            history: self.history.iter().copied().collect::<VecDeque<u64>>(),
+            ff: self.ff,
+            warm_len: self.warm_len,
+            region: self.region,
+            origin_shard: self.origin_shard,
+            origin_seq: self.origin_seq,
+        }
+    }
+}
+
+/// Re-interns a checkpoint frontier into `pool`, in its deterministic
+/// `(origin_shard, origin_seq)` order.
+pub(crate) fn import_frontier(frontier: &[PortableState], pool: &mut ExprPool) -> Vec<MovedState> {
+    let mut order: Vec<&PortableState> = frontier.iter().collect();
+    order.sort_by_key(|st| (st.origin_shard, st.origin_seq));
+    order.into_iter().map(|st| st.import(pool)).collect()
 }
 
 /// Encodes and atomically writes `ck` to `path`: the bytes land in a
@@ -128,7 +279,7 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, String> {
 }
 
 /// Merges per-worker checkpoint parts (and the coordinator's own
-/// pending envelopes) into one fleet checkpoint. Counters are summed,
+/// pending states) into one fleet checkpoint. Counters are summed,
 /// coverage is unioned, test/failure lists concatenated, frontiers
 /// concatenated after `extra`; `max_worklist` takes the per-part
 /// maximum and `next_id` the maximum (resume only needs fresh ids,
@@ -148,23 +299,9 @@ pub(crate) fn merge_parts(
     let first = parts.first().or(base);
     let mut out = Checkpoint {
         seed: first.map_or(0, |p| p.seed),
-        next_id: 0,
         rng: first.map_or([0; 4], |p| p.rng),
-        completed_paths: 0,
-        completed_multiplicity: 0.0,
-        pruned_by_assume: 0,
-        tests_dropped_unknown: 0,
-        picks: 0,
-        steps: 0,
-        merges: 0,
-        merge_rejects: 0,
-        max_worklist: 0,
-        ff_merged: 0,
-        quarantined_states: 0,
-        covered: Vec::new(),
-        tests: Vec::new(),
-        failures: Vec::new(),
         frontier: extra,
+        ..Checkpoint::default()
     };
     for part in base.into_iter().chain(parts) {
         out.next_id = out.next_id.max(part.next_id);
@@ -893,5 +1030,78 @@ mod tests {
         assert_eq!(merged2.completed_paths, 20);
         assert_eq!(merged2.frontier.len(), 1);
         assert_eq!(merged2.seed, a.seed);
+    }
+
+    #[test]
+    fn portable_state_round_trips_across_pools() {
+        let program = symmerge_ir::minic::compile_with_width(
+            r#"
+            global g = 7;
+            global buf[3] = "ab";
+            fn main() {
+                let x = sym_int("x");
+                let y = sym_int("y");
+                if (x > 3) { putchar(x + y); }
+            }
+        "#,
+            8,
+        )
+        .unwrap();
+        let mut src = ExprPool::new(8);
+        let mut state = State::initial(&program, &mut src, StateId(0));
+        // Give the state some symbolic structure.
+        let x = src.input("x", 8);
+        let y = src.input("y", 8);
+        let s = src.add(x, y);
+        let three = src.bv_const(3, 8);
+        let c = src.ugt(x, three);
+        state.pc.push(c);
+        state.outputs.push(s);
+        state.frames[0].locals[0] = Slot::Int(x);
+        state.multiplicity = 2.0;
+        state.steps = 17;
+        state.sym_counters.insert("x".into(), 1);
+        state.affinity = 5;
+
+        let moved = |warm_len| MovedState {
+            state: state.clone(),
+            history: vec![11, 22].into(),
+            ff: true,
+            warm_len,
+            region: 4,
+            origin_shard: 1,
+            origin_seq: 9,
+        };
+        let ps = PortableState::export(&src, &moved(1));
+        assert_eq!((ps.region, ps.origin_shard, ps.origin_seq), (4, 1, 9));
+        // The seed can never claim more than the pc itself.
+        assert_eq!(PortableState::export(&src, &moved(99)).warm_len, 1);
+
+        let mut dst = ExprPool::new(8);
+        let _ = dst.input("y", 8); // different interning history
+        let back = ps.import(&mut dst);
+        assert_eq!(back.history, moved(1).history);
+        assert!(back.ff);
+        assert_eq!((back.warm_len, back.region, back.order_key()), (1, 4, (1, 9)));
+        let st = &back.state;
+        assert_eq!(st.affinity, 0, "affinity never travels");
+        assert_eq!(st.multiplicity, 2.0);
+        assert_eq!(st.steps, 17);
+        assert_eq!(st.sym_counters.get("x"), Some(&1));
+        assert_eq!(st.frames.len(), state.frames.len());
+        assert_eq!(st.control_key(), state.control_key(), "control key is pool-independent");
+        // Semantics of the migrated pc/outputs match under x = 5, y = 2.
+        let env_src = |sym| match src.symbol_name(sym) {
+            "x" => 5u64,
+            "y" => 2,
+            _ => 0,
+        };
+        let env_dst = |sym| match dst.symbol_name(sym) {
+            "x" => 5u64,
+            "y" => 2,
+            _ => 0,
+        };
+        assert_eq!(src.eval(state.pc[0], &env_src), dst.eval(st.pc[0], &env_dst));
+        assert_eq!(src.eval(state.outputs[0], &env_src), dst.eval(st.outputs[0], &env_dst));
     }
 }

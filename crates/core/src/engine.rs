@@ -3,11 +3,12 @@
 //! `∼` (the QCE similarity relation), with static or dynamic state merging
 //! layered on top.
 
+use crate::checkpoint::{import_frontier, PortableState};
 use crate::dsm::{DsmConfig, DsmStats, DsmStrategy};
 use crate::exec::{AssertFailure, Completion, ExecCtx};
 use crate::merge::{classify_pair, merge_signature, merge_states, similar_qce, MergeConfig};
 use crate::qce::{HotSet, QceAnalysis, QceConfig};
-use crate::shard::{PortableState, RegionId, RegionMap, StolenState};
+use crate::shard::{MovedState, RegionId, RegionMap};
 use crate::state::{State, StateId};
 use crate::strategy::{make_strategy, Oracle, StateMeta, Strategy, StrategyKind};
 use crate::testgen::{TestCase, TestKind};
@@ -79,7 +80,7 @@ pub struct EngineConfig {
     /// Warm-context migration (shard mode only): when a migrated state
     /// arrives with a warm-prefix seed (the pc-conjunct prefix that was
     /// resident in the *donor's* context tree, see
-    /// [`crate::shard::PortableState`]), pre-warm the local solver's
+    /// [`MovedState::warm_len`]), pre-warm the local solver's
     /// context tree for the round's whole inbox in one batch before any
     /// of the states run. Batching is what makes it pay: shared prefixes
     /// and divergence points across the inbox are bit-blasted **once**
@@ -277,7 +278,7 @@ impl EngineBuilder {
 }
 
 /// Aggregate results of one exploration run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Completed feasible paths (merged states count once).
     pub completed_paths: u64,
@@ -314,18 +315,11 @@ pub struct RunReport {
     pub max_worklist: usize,
     /// States remaining unexplored when the run stopped.
     pub leftover_states: usize,
-    /// States serialized into [`PortableState`] envelopes for
-    /// cross-worker migration (BSP rounds only). Structurally zero under
-    /// the steal scheduler, which ships states directly through the
-    /// shared expression pool.
-    pub envelope_exports: u64,
-    /// Total [`symmerge_expr::PortableDag`] nodes serialized into those
-    /// envelopes — the serialize-and-re-intern traffic the shared pool
-    /// eliminates.
-    pub envelope_nodes: u64,
     /// Successful steal batches (steal scheduler only; zero elsewhere).
     pub steals: u64,
-    /// States moved by those steal batches.
+    /// States moved between workers, either scheduler: taken from a
+    /// peer's steal deque (steal) or handed to the BSP coordinator for
+    /// routing to another worker (BSP). Zero for a sequential run.
     pub stolen_states: u64,
     /// Times an idle worker found nothing to steal and had to back off
     /// (steal scheduler only) — the residual idleness the scheduler
@@ -391,21 +385,19 @@ pub enum ExploreStep {
 /// and a per-region index of the local worklist for whole-region
 /// eviction.
 struct ShardCtl {
-    me: u32,
     owner: RegionMap,
     /// Free placement (no region ownership): every integration is local
     /// and the coordinator steals by count instead of by region. Used
     /// for [`MergeMode::None`], where no states ever merge and therefore
     /// no two states ever need to be co-located.
     free: bool,
-    outbox: Vec<PortableState>,
+    outbox: Vec<MovedState>,
     by_region: BTreeMap<RegionId, BTreeSet<StateId>>,
-    seq: u64,
 }
 
 impl ShardCtl {
-    fn owns(&self, region: RegionId) -> bool {
-        self.free || self.owner.owner_of(region) == self.me
+    fn owns(&self, region: RegionId, me: u32) -> bool {
+        self.free || self.owner.owner_of(region) == me
     }
 }
 
@@ -459,10 +451,14 @@ pub struct Engine {
     /// Present iff this engine runs as one shard of a
     /// [`crate::parallel::ParallelEngine`].
     shard: Option<ShardCtl>,
-    /// This engine's worker index in the fault plan's coordinate system
-    /// (0 for a sequential run; [`Engine::set_fault_worker`] re-aims it
-    /// for fleet workers).
-    fault_worker: u32,
+    /// This engine's worker index (0 for a sequential run;
+    /// [`Engine::set_worker`] re-aims it for fleet workers): the fault
+    /// plan's coordinate, the owner rank in shard mode, and the origin
+    /// of the states it hands out.
+    worker: u32,
+    /// Sequence number of the last state handed out, the second half of
+    /// [`MovedState::order_key`].
+    moved_seq: u64,
     /// Panic-isolation snapshot of the state currently being stepped:
     /// `(state, child history, fast-forward flag)`, exactly what
     /// [`Engine::integrate`] needs to re-queue it after a caught panic.
@@ -484,8 +480,6 @@ pub struct Engine {
     merge_rejects: u64,
     max_worklist: usize,
     ff_merged: u64,
-    envelope_exports: u64,
-    envelope_nodes: u64,
     quarantined_states: u64,
 }
 
@@ -622,8 +616,8 @@ impl Engine {
             solver.attach_shared_cache(cache);
         }
         // Worker 0 is the construction-time default coordinate, which a
-        // sequential run keeps; fleet workers re-aim via
-        // `set_fault_worker`, which re-derives this stream per worker.
+        // sequential run keeps; fleet workers re-aim via `set_worker`,
+        // which re-derives this stream per worker.
         if let Some((num, den, seed)) = config.fault_plan.as_ref().and_then(|p| p.unknown_spec(0)) {
             solver.set_forced_unknowns(num, den, seed);
         }
@@ -647,7 +641,8 @@ impl Engine {
             next_id: 0,
             started: None,
             shard: None,
-            fault_worker: 0,
+            worker: 0,
+            moved_seq: 0,
             in_flight: None,
             resumed: false,
             completed_paths: 0,
@@ -662,8 +657,6 @@ impl Engine {
             merge_rejects: 0,
             max_worklist: 0,
             ff_merged: 0,
-            envelope_exports: 0,
-            envelope_nodes: 0,
             quarantined_states: 0,
             config,
         }
@@ -744,24 +737,14 @@ impl Engine {
     /// Inserts a new state into the worklist, first attempting to merge it
     /// with a matching state (Algorithm 1, lines 17–22).
     ///
-    /// In shard mode, a state whose region this engine does not own is
-    /// exported to the outbox instead; the owning worker integrates it
-    /// (and marks its coverage) on the next round.
+    /// In shard mode, a state whose region this engine does not own goes
+    /// to the outbox instead; the owning worker integrates it (and marks
+    /// its coverage) on the next round.
     fn integrate(&mut self, mut state: State, mut history: VecDeque<u64>, ff: bool) {
         let region = self.region_of(&state);
-        if self.shard.as_ref().is_some_and(|ctl| !ctl.owns(region)) {
-            // Warm-prefix seed: how much of this state's pc is resident
-            // locally — the receiving worker pre-warms its own tree for
-            // it (computed before borrowing the shard control block).
-            let warm = self.solver.resident_prefix_len(&state.pc) as u32;
-            let ctl = self.shard.as_mut().expect("checked above");
-            ctl.seq += 1;
-            let env =
-                PortableState::export(&self.pool, &state, &history, ff, region, ctl.me, ctl.seq)
-                    .with_warm_len(warm);
-            self.envelope_exports += 1;
-            self.envelope_nodes += env.dag_nodes() as u64;
-            ctl.outbox.push(env);
+        if self.shard.as_ref().is_some_and(|ctl| !ctl.owns(region, self.worker)) {
+            let moved = self.hand_out(state, history, ff);
+            self.shard.as_mut().expect("checked above").outbox.push(moved);
             return;
         }
         self.mark_covered(&state);
@@ -1055,8 +1038,8 @@ impl Engine {
         if let Some(plan) = &self.config.fault_plan {
             // 0-based local pick index (picks was just incremented).
             let pick = self.picks - 1;
-            if plan.panics_at(self.fault_worker, pick) {
-                panic!("injected fault: worker {} panics at pick {pick}", self.fault_worker);
+            if plan.panics_at(self.worker, pick) {
+                panic!("injected fault: worker {} panics at pick {pick}", self.worker);
             }
         }
 
@@ -1108,12 +1091,13 @@ impl Engine {
             || self.config.fault_plan.as_ref().is_some_and(|p| p.has_panics())
     }
 
-    /// Re-aims the engine at worker `worker`'s coordinates in the fault
-    /// plan: panic schedules match against it, and the forced-`Unknown`
-    /// stream is re-derived from the plan's per-worker seed
-    /// decorrelation ([`crate::fault::FaultPlan::unknown_spec`]).
-    pub(crate) fn set_fault_worker(&mut self, worker: u32) {
-        self.fault_worker = worker;
+    /// Re-aims the engine at fleet worker `worker`: panic schedules
+    /// match against it, states it hands out carry it as their origin,
+    /// and the fault plan's forced-`Unknown` stream is re-derived from
+    /// the plan's per-worker seed decorrelation
+    /// ([`crate::fault::FaultPlan::unknown_spec`]).
+    pub(crate) fn set_worker(&mut self, worker: u32) {
+        self.worker = worker;
         if let Some((num, den, seed)) =
             self.config.fault_plan.as_ref().and_then(|p| p.unknown_spec(worker))
         {
@@ -1130,7 +1114,7 @@ impl Engine {
     ///
     /// Soundness: the snapshot is taken before execution and cleared
     /// after the step's results are recorded, so re-running the state —
-    /// here or, after re-envelopment, on another worker — repeats no
+    /// here or, after it moves, on another worker — repeats no
     /// completed work. Under [`MergeMode::None`] with canonical models
     /// the final test set is therefore byte-identical to the fault-free
     /// run's; quarantine changes *which* worker finishes a state, never
@@ -1140,15 +1124,6 @@ impl Engine {
         self.quarantined_states += 1;
         self.integrate(state, history, ff);
         1
-    }
-
-    /// Serializes the *entire* worklist into envelopes in deterministic
-    /// (id) order, emptying it — the crash path's hand-off of a dead
-    /// worker's remaining work to the coordinator for redistribution.
-    pub(crate) fn drain_to_envelopes(&mut self) -> Vec<PortableState> {
-        let mut ids: Vec<StateId> = self.states.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().filter_map(|id| self.export_state(id)).collect()
     }
 
     /// Snapshots the run accumulators into a [`RunReport`]. Called by
@@ -1172,14 +1147,6 @@ impl Engine {
             merge_rejects: self.merge_rejects,
             max_worklist: self.max_worklist,
             leftover_states: self.states.len(),
-            envelope_exports: self.envelope_exports,
-            envelope_nodes: self.envelope_nodes,
-            // Fleet-level steal counters live in the scheduler's shared
-            // block, not in any one engine; `run_steal` fills them in
-            // after reduction.
-            steals: 0,
-            stolen_states: 0,
-            idle_waits: 0,
             quarantined_states: self.quarantined_states,
             covered_blocks: self.covered.len(),
             total_blocks: self.program.num_blocks(),
@@ -1191,6 +1158,10 @@ impl Engine {
             solver: *self.solver.stats(),
             wall_time: self.started.map(|s| s.elapsed()).unwrap_or_default(),
             hit_budget,
+            // Fleet-level migration counters live with the scheduler,
+            // not in any one engine; the fleet fills them in after
+            // reduction.
+            ..RunReport::default()
         }
     }
 
@@ -1212,68 +1183,37 @@ impl Engine {
 
     // ----- shard-mode plumbing (used by `crate::parallel`) --------------
 
-    /// Puts the engine into shard mode as worker `me` under `map`.
+    /// Puts the engine into shard mode under `map`, owning the regions
+    /// `map` assigns to its worker index ([`Engine::set_worker`]).
     /// `free` selects count-based placement (no region ownership) — only
     /// sound when the merge mode is [`MergeMode::None`].
-    pub(crate) fn enable_shard(&mut self, me: u32, map: RegionMap, free: bool) {
+    pub(crate) fn enable_shard(&mut self, map: RegionMap, free: bool) {
         debug_assert!(
             !free || self.config.merge_mode == MergeMode::None,
             "free placement would split merge candidates across workers"
         );
-        self.shard = Some(ShardCtl {
-            me,
-            owner: map,
-            free,
-            outbox: Vec::new(),
-            by_region: BTreeMap::new(),
-            seq: 0,
-        });
+        self.shard =
+            Some(ShardCtl { owner: map, free, outbox: Vec::new(), by_region: BTreeMap::new() });
     }
 
-    /// Evicts worklist states beyond `keep` in deterministic order — the
-    /// free-placement steal primitive. The coordinator routes the
-    /// envelopes to underloaded workers.
+    /// The deterministic order [`Engine::shed_states`] serves states in,
+    /// so `steal_newest` means the same thing under both schedulers.
     ///
     /// The direction matters. *Oldest*-first (the default, the Cilk
     /// convention of stealing from the cold end) ships shallow states
     /// that root the largest unexplored subtrees, so a steal genuinely
     /// transfers work — measured per-worker step counts come out within a
-    /// few percent of uniform. *Newest*-first ships paths that are about
-    /// to complete: the thief starves within a few steps (measured: 95%
-    /// of all steps stayed on the victim), but the victim's solver
-    /// contexts stay warmer — a throughput-over-balance trade a
-    /// single-core host can prefer.
-    pub(crate) fn evict_excess(&mut self, keep: u64, newest_first: bool) -> Vec<PortableState> {
-        debug_assert!(
-            self.shard.as_ref().is_some_and(|c| c.free),
-            "count eviction needs free mode"
-        );
-        let excess = (self.states.len() as u64).saturating_sub(keep);
-        if excess == 0 {
-            return Vec::new();
-        }
-        let mut ids = self.steal_order(newest_first);
-        ids.truncate(excess as usize);
-        ids.into_iter().filter_map(|id| self.export_state(id)).collect()
-    }
-
-    /// The deterministic order steals serve states in — shared by the
-    /// BSP free-placement stealer ([`Engine::evict_excess`]) and the
-    /// steal-scheduler deques ([`Engine::shed_states`]), so
-    /// `steal_newest` means the same thing under both schedulers.
-    ///
-    /// Oldest-id first by default (the Cilk cold-end convention —
-    /// shallow subtree roots transfer the most work); with
-    /// `warm_migration` on, cold-affinity states go first among
-    /// non-newest orders: a state whose prefix context is long gone
-    /// pays a rebuild wherever it runs, so shipping it costs the fleet
-    /// nothing extra, while warm states keep exploiting the donor's
-    /// resident contexts. Among equal warmth, oldest id first, so the
-    /// work-transfer property is preserved. `newest_first` reverses to
-    /// the hot end (descending id), starving thieves but keeping the
-    /// victim's contexts warm. Deterministic: ids are per-engine
-    /// integration counters and affinity tokens derive from the
-    /// solver's counters.
+    /// few percent of uniform. With `warm_migration` on, cold-affinity
+    /// states go first among them: a state whose prefix context is long
+    /// gone pays a rebuild wherever it runs, so shipping it costs the
+    /// fleet nothing extra, while warm states keep exploiting the donor's
+    /// resident contexts; among equal warmth, oldest id first.
+    /// *Newest*-first (descending id) ships paths that are about to
+    /// complete: the thief starves within a few steps (measured: 95% of
+    /// all steps stayed on the victim), but the victim's solver contexts
+    /// stay warmer — a throughput-over-balance trade a single-core host
+    /// can prefer. Deterministic: ids are per-engine integration
+    /// counters and affinity tokens derive from the solver's counters.
     fn steal_order(&self, newest_first: bool) -> Vec<StateId> {
         let mut ids: Vec<StateId> = self.states.keys().copied().collect();
         if newest_first {
@@ -1286,43 +1226,69 @@ impl Engine {
         ids
     }
 
-    /// Removes `id` from the worklist (with its DSM history and
-    /// fast-forward flag) and serializes it into an envelope — the shared
-    /// body of both eviction paths.
-    fn export_state(&mut self, id: StateId) -> Option<PortableState> {
-        let history = self.histories.get(&id).cloned().unwrap_or_default();
-        let ff = self.ff_active.contains(&id);
-        let state = self.remove_from_worklist(id)?;
-        let region = self.region_of(&state);
-        let warm = self.solver.resident_prefix_len(&state.pc) as u32;
-        let ctl = self.shard.as_mut().expect("export_state outside shard mode");
-        ctl.seq += 1;
-        let env = PortableState::export(&self.pool, &state, &history, ff, region, ctl.me, ctl.seq)
-            .with_warm_len(warm);
-        self.envelope_exports += 1;
-        self.envelope_nodes += env.dag_nodes() as u64;
-        Some(env)
+    /// Packs a state leaving this worker into its moved-state record,
+    /// with the warm-prefix seed (how much of its pc is resident here)
+    /// and the next `(worker, seq)` order key.
+    fn hand_out(&mut self, state: State, history: VecDeque<u64>, ff: bool) -> MovedState {
+        self.moved_seq += 1;
+        MovedState {
+            warm_len: self.solver.resident_prefix_len(&state.pc) as u32,
+            region: self.region_of(&state),
+            origin_shard: self.worker,
+            origin_seq: self.moved_seq,
+            state,
+            history,
+            ff,
+        }
     }
 
-    /// Installs a new region assignment and evicts every held state whose
-    /// region this worker no longer owns, in deterministic (region, id)
-    /// order. The envelopes are routed to the new owners by the
-    /// coordinator.
-    pub(crate) fn set_region_map(&mut self, map: RegionMap) -> Vec<PortableState> {
+    /// Installs a new region assignment and hands out every held state
+    /// whose region this worker no longer owns, in deterministic (region,
+    /// id) order. The coordinator routes them to the new owners.
+    pub(crate) fn set_region_map(&mut self, map: RegionMap) -> Vec<MovedState> {
+        let me = self.worker;
         let ctl = self.shard.as_mut().expect("set_region_map outside shard mode");
         ctl.owner = map;
-        let me = ctl.me;
         let lost: Vec<StateId> = ctl
             .by_region
             .iter()
             .filter(|(&r, _)| ctl.owner.owner_of(r) != me)
             .flat_map(|(_, ids)| ids.iter().copied())
             .collect();
-        lost.into_iter().filter_map(|id| self.export_state(id)).collect()
+        lost.into_iter().filter_map(|id| self.take_moved(id)).collect()
     }
 
-    /// Integrates one round's migrated states from other workers, in the
-    /// caller-given (deterministic) order.
+    /// Removes `id` from the worklist (with its DSM history and
+    /// fast-forward flag) as a moved-state record.
+    fn take_moved(&mut self, id: StateId) -> Option<MovedState> {
+        let history = self.histories.get(&id).cloned().unwrap_or_default();
+        let ff = self.ff_active.contains(&id);
+        let state = self.remove_from_worklist(id)?;
+        Some(self.hand_out(state, history, ff))
+    }
+
+    /// Number of states currently in the worklist.
+    pub(crate) fn worklist_len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Removes up to `n` states in [`Engine::steal_order`] for another
+    /// worker — the one hand-off primitive of both schedulers: steal
+    /// deques, BSP's free-placement stealer and the crash drain. With the
+    /// fleet's shared expression pool a state's `ExprId`s are valid on
+    /// every worker, so nothing is serialized or re-interned.
+    pub(crate) fn shed_states(&mut self, n: usize, newest_first: bool) -> Vec<MovedState> {
+        debug_assert!(self.pool.is_shared(), "direct state transfer needs the shared pool");
+        let mut ids = self.steal_order(newest_first);
+        ids.truncate(n);
+        ids.into_iter().filter_map(|id| self.take_moved(id)).collect()
+    }
+
+    /// Integrates states moved in from other workers (or restored from a
+    /// checkpoint frontier), in the given order. The pool is synced once
+    /// so every shipped `ExprId` resolves locally, each state gets a
+    /// fresh local id (preserving the oldest-first steal-order semantics
+    /// of per-engine ids), and its donor affinity is reset.
     ///
     /// With [`EngineConfig::warm_migration`] on, the whole batch's
     /// warm-prefix seeds are pre-warmed into the solver's context tree
@@ -1334,22 +1300,31 @@ impl Engine {
     /// affinity token for it, so ranking strategies run them while their
     /// context is still resident. Both effects are deterministic and
     /// purely residency-side: results are unchanged.
-    pub(crate) fn inject_all(&mut self, envs: &[PortableState]) {
-        let mut imported: Vec<(State, VecDeque<u64>, bool, usize)> = Vec::with_capacity(envs.len());
-        for env in envs {
-            let id = self.fresh_id();
-            let (state, history, ff) = env.import(&mut self.pool, id);
-            imported.push((state, history, ff, env.warm_len()));
+    pub(crate) fn inject_direct(&mut self, batch: Vec<MovedState>) {
+        if batch.is_empty() {
+            return;
         }
-        self.prewarm_and_integrate(imported);
-    }
-
-    /// The shared tail of both migration paths ([`Engine::inject_all`]
-    /// for envelopes, [`Engine::inject_direct`] for shared-pool steals):
-    /// batch-prewarm the solver's context tree from the warm-prefix
-    /// seeds, stamp materialized affinity tokens, and integrate.
-    fn prewarm_and_integrate(&mut self, mut imported: Vec<(State, VecDeque<u64>, bool, usize)>) {
-        if self.config.warm_migration && !imported.is_empty() {
+        // Donor workers may have interned nodes this handle has not yet
+        // mirrored; make every shipped ExprId resolvable first. The
+        // shared-cache mirror catches up too: the donor likely solved
+        // along these states' prefixes, so its published verdicts are
+        // exactly the entries the prewarm and next steps will ask for.
+        self.pool.sync();
+        self.solver.sync_shared_cache();
+        let mut imported: Vec<(State, VecDeque<u64>, bool, usize)> = batch
+            .into_iter()
+            .map(|moved| {
+                let MovedState { mut state, history, ff, warm_len, .. } = moved;
+                state.id = self.fresh_id();
+                // Affinity tokens index the donor's solver clock; the
+                // prefix context is cold here by definition. The prewarm
+                // below re-stamps whatever materializes locally.
+                state.affinity = 0;
+                let warm = (warm_len as usize).min(state.pc.len());
+                (state, history, ff, warm)
+            })
+            .collect();
+        if self.config.warm_migration {
             // The frontier is about to grow by the whole inbox; let the
             // adaptive capacity see it before the batch builds.
             self.solver.set_frontier_hint(self.states.len() + imported.len());
@@ -1374,70 +1349,8 @@ impl Engine {
         }
     }
 
-    // ----- steal-mode plumbing (work-stealing scheduler) ----------------
-
-    /// Number of states currently in the worklist.
-    pub(crate) fn worklist_len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Removes up to `n` states for direct (same-pool) transfer to
-    /// another worker — the steal-scheduler counterpart of
-    /// [`Engine::evict_excess`], serving states in the identical
-    /// [`Engine::steal_order`] but skipping the envelope entirely: with
-    /// a shared expression pool the state's `ExprId`s are valid on every
-    /// worker, so nothing is serialized or re-interned.
-    pub(crate) fn shed_states(&mut self, n: usize, newest_first: bool) -> Vec<StolenState> {
-        debug_assert!(self.pool.is_shared(), "direct state transfer needs the shared pool");
-        let mut ids = self.steal_order(newest_first);
-        ids.truncate(n);
-        ids.into_iter()
-            .filter_map(|id| {
-                let history = self.histories.get(&id).cloned().unwrap_or_default();
-                let ff = self.ff_active.contains(&id);
-                let state = self.remove_from_worklist(id)?;
-                let warm_len = self.solver.resident_prefix_len(&state.pc) as u32;
-                Some(StolenState { state, history, ff, warm_len })
-            })
-            .collect()
-    }
-
-    /// Integrates states stolen from another worker's deque — the
-    /// direct counterpart of [`Engine::inject_all`]. No import step:
-    /// the shared pool is synced once so every shipped `ExprId`
-    /// resolves locally, each state gets a fresh local id (preserving
-    /// the oldest-first steal-order semantics of per-engine ids), and
-    /// the batch's warm-prefix seeds pre-warm the local context tree
-    /// together, exactly as envelope migration does.
-    pub(crate) fn inject_direct(&mut self, batch: Vec<StolenState>) {
-        if batch.is_empty() {
-            return;
-        }
-        // Donor workers may have interned nodes this handle has not yet
-        // mirrored; make every shipped ExprId resolvable first. The
-        // shared-cache mirror catches up too: the donor likely solved
-        // along these states' prefixes, so its published verdicts are
-        // exactly the entries the prewarm and next steps will ask for.
-        self.pool.sync();
-        self.solver.sync_shared_cache();
-        let imported: Vec<(State, VecDeque<u64>, bool, usize)> = batch
-            .into_iter()
-            .map(|stolen| {
-                let StolenState { mut state, history, ff, warm_len } = stolen;
-                state.id = self.fresh_id();
-                // Affinity tokens index the donor's solver clock; the
-                // prefix context is cold here by definition. The prewarm
-                // below re-stamps whatever materializes locally.
-                state.affinity = 0;
-                let warm = (warm_len as usize).min(state.pc.len());
-                (state, history, ff, warm)
-            })
-            .collect();
-        self.prewarm_and_integrate(imported);
-    }
-
     /// Drains the outbox of states that crossed into foreign regions.
-    pub(crate) fn take_outbox(&mut self) -> Vec<PortableState> {
+    pub(crate) fn take_outbox(&mut self) -> Vec<MovedState> {
         match self.shard.as_mut() {
             Some(ctl) => std::mem::take(&mut ctl.outbox),
             None => Vec::new(),
@@ -1472,10 +1385,9 @@ impl Engine {
 
     /// Snapshots the run into a [`crate::checkpoint::Checkpoint`]:
     /// result accumulators, coverage, the RNG stream, and the whole
-    /// frontier as [`PortableState`] envelopes (in deterministic id
-    /// order). Read-only — exploration continues unchanged afterwards,
-    /// and none of the envelope counters move (these envelopes are not
-    /// migration traffic).
+    /// frontier as [`PortableState`] records (in deterministic id
+    /// order, with cold warm-prefix seeds). Read-only — exploration
+    /// continues unchanged afterwards.
     pub(crate) fn snapshot(&self) -> crate::checkpoint::Checkpoint {
         let mut ids: Vec<StateId> = self.states.keys().copied().collect();
         ids.sort_unstable();
@@ -1484,18 +1396,16 @@ impl Engine {
             .enumerate()
             .map(|(i, id)| {
                 let state = &self.states[id];
-                let history = self.histories.get(id).cloned().unwrap_or_default();
-                let ff = self.ff_active.contains(id);
-                let region = self.region_of(state);
-                PortableState::export(
-                    &self.pool,
-                    state,
-                    &history,
-                    ff,
-                    region,
-                    self.fault_worker,
-                    i as u64 + 1,
-                )
+                let record = MovedState {
+                    state: state.clone(),
+                    history: self.histories.get(id).cloned().unwrap_or_default(),
+                    ff: self.ff_active.contains(id),
+                    warm_len: 0,
+                    region: self.region_of(state),
+                    origin_shard: self.worker,
+                    origin_seq: i as u64 + 1,
+                };
+                PortableState::export(&self.pool, &record)
             })
             .collect();
         crate::checkpoint::Checkpoint {
@@ -1522,8 +1432,8 @@ impl Engine {
 
     /// Restores a checkpoint into a freshly built engine: result
     /// accumulators, coverage, tests and failures, the RNG stream, and
-    /// the frontier (re-imported through `Engine::inject_all`, so
-    /// warm-prefix prewarming applies as for any migration batch). The
+    /// the frontier (integrated like any migration batch, so
+    /// warm-prefix prewarming applies). The
     /// next [`Engine::run`] then *continues* the interrupted
     /// exploration instead of starting over.
     ///
@@ -1562,9 +1472,8 @@ impl Engine {
             .iter()
             .map(|(msg, loc)| AssertFailure { msg: msg.clone(), loc: *loc, pc: Vec::new() })
             .collect();
-        let mut frontier = ck.frontier.clone();
-        frontier.sort_by_key(|env| env.order_key());
-        self.inject_all(&frontier);
+        let frontier = import_frontier(&ck.frontier, &mut self.pool);
+        self.inject_direct(frontier);
         self.resumed = true;
     }
 }
@@ -1854,10 +1763,10 @@ mod tests {
     #[test]
     fn steal_newest_order_is_pinned_and_shared_across_schedulers() {
         // `steal_newest` must mean the same thing to the BSP
-        // free-placement stealer (envelope eviction) and the
-        // steal-scheduler deques (direct shedding): oldest id first by
-        // default, descending id when set. Pinned here against the one
-        // shared ordering both paths serve states in.
+        // free-placement stealer and the steal-scheduler deques: both
+        // hand states out through `shed_states`, oldest id first by
+        // default, descending id when set. Pinned here, together with
+        // the order keys the records carry out.
         const SRC: &str = r#"
             fn main() {
                 let a = sym_int("a");
@@ -1866,28 +1775,23 @@ mod tests {
                 if (b > 10) { putchar(3); } else { putchar(4); }
             }
         "#;
-        let prep = |shared: Option<std::sync::Arc<SharedExprPool>>| {
+        for newest in [false, true] {
             let program = minic::compile_with_width(SRC, 8).unwrap();
-            let mut b = Engine::builder(program)
+            let mut e = Engine::builder(program)
                 .merging(MergeMode::None)
                 .strategy(crate::strategy::StrategyKind::Bfs)
                 .warm_migration(false)
-                .seed(3);
-            if let Some(p) = shared {
-                b = b.shared_pool(p);
-            }
-            let mut e = b.build().unwrap();
+                .seed(3)
+                .shared_pool(SharedExprPool::new(8))
+                .build()
+                .unwrap();
+            e.set_worker(2);
             e.seed_initial();
             while e.worklist_len() < 3 {
                 assert_eq!(e.explore_step(), ExploreStep::Progressed, "ran out before 3 states");
             }
-            e
-        };
-        for newest in [false, true] {
-            // Steal-scheduler path: direct shed out of the shared pool.
-            let mut direct = prep(Some(SharedExprPool::new(8)));
-            let n = direct.worklist_len();
-            let shed = direct.shed_states(n, newest);
+            let n = e.worklist_len();
+            let shed = e.shed_states(n, newest);
             assert_eq!(shed.len(), n);
             let shed_ids: Vec<u64> = shed.iter().map(|s| s.state.id.0).collect();
             let mut expect = shed_ids.clone();
@@ -1897,28 +1801,11 @@ mod tests {
             }
             assert_eq!(
                 shed_ids, expect,
-                "newest={newest}: deque order must follow the pinned id order"
+                "newest={newest}: hand-off order must follow the pinned id order"
             );
-            // BSP free-placement path: envelope eviction, same order.
-            let mut bsp = prep(None);
-            bsp.enable_shard(0, RegionMap::all_to_zero(2), true);
-            let envs = bsp.evict_excess(0, newest);
-            assert_eq!(envs.len(), n);
-            let mut dst = ExprPool::new(8);
-            let bsp_keys: Vec<(u64, usize)> = envs
-                .iter()
-                .enumerate()
-                .map(|(i, env)| {
-                    let (s, _, _) = env.import(&mut dst, StateId(i as u64));
-                    (s.steps, s.pc.len())
-                })
-                .collect();
-            let direct_keys: Vec<(u64, usize)> =
-                shed.iter().map(|s| (s.state.steps, s.state.pc.len())).collect();
-            assert_eq!(
-                direct_keys, bsp_keys,
-                "newest={newest}: both stealers must serve states in the same order"
-            );
+            let keys: Vec<(u32, u64)> = shed.iter().map(MovedState::order_key).collect();
+            let want: Vec<(u32, u64)> = (1..=n as u64).map(|seq| (2, seq)).collect();
+            assert_eq!(keys, want, "records carry the donor's index and ascending sequence");
         }
     }
 

@@ -63,7 +63,9 @@ pub mod state;
 pub mod strategy;
 pub mod testgen;
 
-pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig};
+pub use checkpoint::{
+    read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig, PortableState,
+};
 pub use dsm::{DsmConfig, DsmStats};
 pub use engine::{Budgets, Engine, EngineBuilder, EngineConfig, ExploreStep, MergeMode, RunReport};
 pub use exec::{AssertFailure, Completion};
@@ -71,7 +73,7 @@ pub use fault::FaultPlan;
 pub use merge::MergeConfig;
 pub use parallel::{reduce_reports, ParallelConfig, ParallelEngine, SchedulerKind, ShardOutput};
 pub use qce::{QceAnalysis, QceConfig, VarKey};
-pub use shard::{PortableState, RegionId, RegionMap, StolenState};
+pub use shard::{MovedState, RegionId, RegionMap};
 pub use state::{State, StateId};
 pub use strategy::{Strategy, StrategyKind};
 pub use symmerge_solver::{SharedSolverCache, SolverConfig, SolverStats};

@@ -205,16 +205,17 @@ mod tests {
     #[test]
     fn merge_layer_is_send() {
         // Send audit for the pieces the parallel engine moves between (or
-        // constructs inside) worker threads. `ExprPool` and `Solver` never
-        // migrate — each worker owns one — but they must still be `Send`
-        // so a worker can be built inside its thread; fingerprints and
-        // merge signatures are plain `u64`s and survive pool boundaries.
+        // constructs inside) worker threads. A state moves as an owned
+        // `MovedState` whose ids resolve in the fleet's shared pool; each
+        // worker's `ExprPool` handle and `Solver` stay with their worker
+        // but must still be `Send` so a worker can be built inside its
+        // thread; fingerprints and merge signatures are plain `u64`s.
         fn assert_send<T: Send>() {}
         assert_send::<MergeConfig>();
         assert_send::<crate::qce::HotSet>();
         assert_send::<symmerge_expr::ExprPool>();
         assert_send::<symmerge_solver::Solver>();
-        assert_send::<crate::shard::PortableState>();
+        assert_send::<crate::shard::MovedState>();
         assert_send::<crate::engine::RunReport>();
         assert_send::<symmerge_ir::Program>();
     }

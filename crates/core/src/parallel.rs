@@ -1,24 +1,22 @@
 //! The sharded, work-stealing parallel exploration engine.
 //!
 //! [`ParallelEngine`] runs the same exploration [`Engine::run`] performs,
-//! split across `jobs` worker threads, under one of two scheduling
-//! disciplines ([`SchedulerKind`]):
+//! split across `jobs` worker threads. Both scheduling disciplines
+//! ([`SchedulerKind`]) run on one fleet substrate: every worker owns a
+//! full engine — its own [`symmerge_solver::Solver`] with its own
+//! incremental-context LRU pool, its own scheduler and RNG stream —
+//! built over the fleet's one [`symmerge_expr::SharedExprPool`] and one
+//! [`SharedSolverCache`]. `ExprId`s therefore mean the same on every
+//! worker, and a state crosses workers directly as an owned
+//! [`MovedState`] record: nothing is serialized or re-interned.
 //!
-//! * **BSP** (the default, and the deterministic reference oracle):
-//!   each worker owns a full engine — its own
-//!   [`symmerge_expr::ExprPool`], its own [`symmerge_solver::Solver`]
-//!   with its own incremental-context LRU pool, its own scheduler and
-//!   RNG stream — so workers share *nothing* on the hot path; states
-//!   cross worker boundaries only as pool-independent
-//!   [`PortableState`] envelopes, at round barriers.
-//! * **Steal** ([`MergeMode::None`] only): all workers build their
-//!   engines over one fleet-shared [`symmerge_expr::SharedExprPool`],
-//!   so `ExprId`s are globally stable and states cross threads
-//!   *directly* — zero envelopes, zero re-interning — through
-//!   per-worker deques ([`StolenState`]); idle workers steal instead of
-//!   waiting at a barrier. Results are set-identical to BSP
-//!   (schedule-invariant path set + canonical models); only
-//!   per-`(seed, jobs)` trace reproducibility relaxes.
+//! * **BSP** (the default, and the deterministic reference oracle): the
+//!   coordinator drives bulk-synchronous rounds and routes moved states
+//!   at the round barriers.
+//! * **Steal** ([`MergeMode::None`] only): idle workers steal from
+//!   per-worker deques instead of waiting at a barrier. Results are
+//!   set-identical to BSP (schedule-invariant path set + canonical
+//!   models); only per-`(seed, jobs)` trace reproducibility relaxes.
 //!
 //! Placement follows the merge mode:
 //!
@@ -36,7 +34,7 @@
 //! # Execution model: deterministic rounds
 //!
 //! The coordinator drives bulk-synchronous rounds. In each round every
-//! worker (in parallel) integrates the envelopes routed to it — in the
+//! worker (in parallel) integrates the states routed to it — in the
 //! deterministic `(origin worker, sequence)` order — and advances its
 //! local exploration by at most a fixed step quota; under region
 //! placement, successors that cross into a region the worker does not
@@ -53,12 +51,16 @@
 //!
 //! # Determinism contract
 //!
+//! The shared pool allocates ids in whatever order the workers' threads
+//! intern nodes, so ids are not stable across runs; every engine
+//! decision that could see them goes through id-invariant fingerprints,
+//! which keeps BSP a pure function of `(program, config, jobs)`.
 //! Context-affinity scheduling does not weaken any layer of the
-//! contract: affinity tokens are derived from each worker's solver
-//! clock (a deterministic counter), and a migrating state **drops** its
-//! token at export — the importing worker re-derives it as 0 ("context
-//! cold here"), so no cross-solver clock value can leak into scheduling
-//! (see [`crate::shard::PortableState`]).
+//! contract either: affinity tokens are derived from each worker's
+//! solver clock (a deterministic counter), and a moved state's token is
+//! reset on arrival — the receiving worker re-derives it, so no
+//! cross-solver clock value can leak into scheduling (see
+//! [`MovedState`]).
 //!
 //! * `jobs = 1` takes the exact legacy sequential path (same code, same
 //!   report, byte for byte).
@@ -116,10 +118,12 @@
 //! # }
 //! ```
 
-use crate::checkpoint::{merge_parts, write_checkpoint, Checkpoint};
+use crate::checkpoint::{
+    import_frontier, merge_parts, write_checkpoint, Checkpoint, PortableState,
+};
 use crate::engine::{Budgets, Engine, EngineConfig, ExploreStep, MergeMode, RunReport};
 use crate::exec::AssertFailure;
-use crate::shard::{PortableState, RegionId, RegionMap, StolenState};
+use crate::shard::{MovedState, RegionId, RegionMap};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
@@ -130,19 +134,17 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use symmerge_expr::SharedExprPool;
 use symmerge_ir::{Program, ValidateError};
-use symmerge_solver::{SharedSolverCache, SolverConfig};
+use symmerge_solver::SharedSolverCache;
 
 /// Which scheduling discipline [`ParallelEngine`] drives the fleet with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Deterministic bulk-synchronous rounds over per-worker pools — the
-    /// reference oracle. States cross workers as [`PortableState`]
-    /// envelopes; results are a pure function of `(program, config,
-    /// jobs)`.
+    /// Deterministic bulk-synchronous rounds — the reference oracle. The
+    /// coordinator routes moved states at round barriers; results are a
+    /// pure function of `(program, config, jobs)`.
     Bsp,
-    /// Work stealing over a fleet-shared
-    /// [`symmerge_expr::SharedExprPool`]: per-worker deques, no barrier,
-    /// no envelopes — idle workers steal directly. Only active under
+    /// Work stealing: per-worker deques, no barrier — idle workers
+    /// steal directly. Only active under
     /// [`MergeMode::None`] (merging modes silently fall back to BSP,
     /// whose region placement they need for merge-candidate
     /// co-location); promises *set-identical* results vs BSP, not
@@ -212,35 +214,7 @@ pub struct ShardOutput {
 /// describe the fleet (max / or); [`ParallelEngine::run`] overwrites them
 /// with the coordinator's own measurements.
 pub fn reduce_reports(parts: &[ShardOutput], total_blocks: usize) -> RunReport {
-    let mut out = RunReport {
-        completed_paths: 0,
-        completed_multiplicity: 0.0,
-        pruned_by_assume: 0,
-        assert_failures: Vec::new(),
-        tests: Vec::new(),
-        tests_dropped_unknown: 0,
-        picks: 0,
-        sched_picks: 0,
-        sched_heap_repairs: 0,
-        steps: 0,
-        merges: 0,
-        merge_rejects: 0,
-        max_worklist: 0,
-        leftover_states: 0,
-        envelope_exports: 0,
-        envelope_nodes: 0,
-        steals: 0,
-        stolen_states: 0,
-        idle_waits: 0,
-        quarantined_states: 0,
-        covered_blocks: 0,
-        total_blocks,
-        ff_merged: 0,
-        dsm: Default::default(),
-        solver: Default::default(),
-        wall_time: Default::default(),
-        hit_budget: false,
-    };
+    let mut out = RunReport { total_blocks, ..RunReport::default() };
     let mut covered: Vec<(u32, u32)> = Vec::new();
     for part in parts {
         let r = &part.report;
@@ -258,8 +232,6 @@ pub fn reduce_reports(parts: &[ShardOutput], total_blocks: usize) -> RunReport {
         out.merge_rejects += r.merge_rejects;
         out.max_worklist = out.max_worklist.max(r.max_worklist);
         out.leftover_states += r.leftover_states;
-        out.envelope_exports += r.envelope_exports;
-        out.envelope_nodes += r.envelope_nodes;
         out.steals += r.steals;
         out.stolen_states += r.stolen_states;
         out.idle_waits += r.idle_waits;
@@ -298,34 +270,21 @@ fn base_output(ck: &Checkpoint) -> ShardOutput {
             tests: ck.tests.clone(),
             tests_dropped_unknown: ck.tests_dropped_unknown,
             picks: ck.picks,
-            sched_picks: 0,
-            sched_heap_repairs: 0,
             steps: ck.steps,
             merges: ck.merges,
             merge_rejects: ck.merge_rejects,
             max_worklist: ck.max_worklist as usize,
-            leftover_states: 0,
-            envelope_exports: 0,
-            envelope_nodes: 0,
-            steals: 0,
-            stolen_states: 0,
-            idle_waits: 0,
             quarantined_states: ck.quarantined_states,
-            covered_blocks: 0,
-            total_blocks: 0,
             ff_merged: ck.ff_merged,
-            dsm: Default::default(),
-            solver: Default::default(),
-            wall_time: Default::default(),
-            hit_budget: false,
+            ..RunReport::default()
         },
         covered: ck.covered.clone(),
     }
 }
 
 /// The inverse wrapping: a crashed worker's final [`ShardOutput`] as a
-/// [`Checkpoint`] part (no frontier — its states were re-enveloped at
-/// crash time and live on inside the surviving workers), so fleet
+/// [`Checkpoint`] part (no frontier — its states moved out at crash
+/// time and live on inside the surviving workers), so fleet
 /// checkpoints written after a crash still carry its results. The RNG
 /// field is a fresh seed-derived stream: it is only consumed if this
 /// part ends up first in a merge *and* the merged checkpoint is
@@ -334,7 +293,6 @@ fn base_output(ck: &Checkpoint) -> ShardOutput {
 fn output_as_part(seed: u64, out: &ShardOutput) -> Checkpoint {
     Checkpoint {
         seed,
-        next_id: 0,
         rng: StdRng::seed_from_u64(seed).state(),
         completed_paths: out.report.completed_paths,
         completed_multiplicity: out.report.completed_multiplicity,
@@ -350,7 +308,7 @@ fn output_as_part(seed: u64, out: &ShardOutput) -> Checkpoint {
         covered: out.covered.clone(),
         tests: out.report.tests.clone(),
         failures: out.report.assert_failures.iter().map(|f| (f.msg.clone(), f.loc)).collect(),
-        frontier: Vec::new(),
+        ..Checkpoint::default()
     }
 }
 
@@ -359,8 +317,8 @@ enum ToWorker {
     Round {
         /// Region assignment for this round (region policy only).
         map: RegionMap,
-        /// Migrated states this worker now owns.
-        inbox: Vec<PortableState>,
+        /// Moved states this worker now owns.
+        inbox: Vec<MovedState>,
         /// Scheduler-step quota for the round.
         quota: u64,
         /// Seed the initial state this round (worker 0, round 0).
@@ -378,8 +336,8 @@ enum ToWorker {
 /// A worker's end-of-round reply.
 struct RoundDone {
     shard: u32,
-    /// Evicted + outbox envelopes, to be routed next round.
-    envelopes: Vec<PortableState>,
+    /// Evicted + outbox states, to be routed next round.
+    moved: Vec<MovedState>,
     /// Post-round worklist sizes per held region.
     held: Vec<(RegionId, u64)>,
     /// Cumulative engine totals (for coordinator-side budget tracking).
@@ -391,13 +349,13 @@ struct RoundDone {
 enum FromWorker {
     Done(RoundDone),
     /// The worker panicked mid-round (with panic isolation armed). Its
-    /// quarantined in-flight state and remaining worklist travel out as
-    /// envelopes for the surviving workers; its final report comes
-    /// along so its pre-crash results are not lost. The worker thread
-    /// exits after sending this — the fleet degrades from N to N−1.
+    /// quarantined in-flight state and remaining worklist move out to
+    /// the surviving workers; its final report comes along so its
+    /// pre-crash results are not lost. The worker thread exits after
+    /// sending this — the fleet degrades from N to N−1.
     Crashed {
         shard: u32,
-        envelopes: Vec<PortableState>,
+        moved: Vec<MovedState>,
         output: Box<ShardOutput>,
     },
     /// Reply to [`ToWorker::Checkpoint`].
@@ -425,13 +383,52 @@ fn shard_seed(seed: u64, shard: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds the fleet's [`SharedSolverCache`]. The counterexample logs
-/// are append-only (no eviction — mirrors must never lose entries), so
-/// they get 4× the private per-worker capacity: the store serves the
-/// whole fleet, and refusing publications early would waste its best
-/// tier (the private caches FIFO-churn instead).
-fn shared_cache_for(solver: &SolverConfig) -> Arc<SharedSolverCache> {
-    SharedSolverCache::new(solver.cex_capacity.saturating_mul(4))
+/// The fleet substrate both schedulers build their workers on: one
+/// expression pool, so `ExprId`s mean the same on every worker and
+/// states move as owned [`MovedState`] records, and one verdict store.
+/// The store is always attached;
+/// [`SolverConfig::shared_cache`](symmerge_solver::SolverConfig) decides
+/// whether the workers' solvers use it.
+struct Substrate<'p> {
+    program: &'p Program,
+    /// The workers' configuration: budgets and checkpointing cleared,
+    /// since the fleet enforces both itself.
+    config: EngineConfig,
+    pool: Arc<SharedExprPool>,
+    cache: Arc<SharedSolverCache>,
+}
+
+impl<'p> Substrate<'p> {
+    fn new(program: &'p Program, config: &EngineConfig) -> Substrate<'p> {
+        let mut config = config.clone();
+        config.budgets = Budgets::default();
+        config.checkpoint = None;
+        Substrate {
+            program,
+            pool: SharedExprPool::new(program.width),
+            // The counterexample logs are append-only (no eviction —
+            // mirrors must never lose entries), so they get 4× the
+            // private per-worker capacity: the store serves the whole
+            // fleet, and refusing publications early would waste its
+            // best tier (the private caches FIFO-churn instead).
+            cache: SharedSolverCache::new(config.solver.cex_capacity.saturating_mul(4)),
+            config,
+        }
+    }
+
+    /// Worker `shard`'s engine, on its own seed-derived RNG stream.
+    fn engine(&self, shard: u32) -> Engine {
+        let config =
+            EngineConfig { seed: shard_seed(self.config.seed, shard), ..self.config.clone() };
+        let mut engine = Engine::builder(self.program.clone())
+            .config(config)
+            .shared_pool(Arc::clone(&self.pool))
+            .shared_solver_cache(Arc::clone(&self.cache))
+            .build()
+            .expect("program validated in ParallelEngine::new");
+        engine.set_worker(shard);
+        engine
+    }
 }
 
 /// The sharded parallel exploration engine. See the [module docs](self).
@@ -506,28 +503,14 @@ impl ParallelEngine {
         // frontier clusters in a few regions (e.g. one hot loop).
         let free = self.config.merge_mode == crate::engine::MergeMode::None;
 
-        // Worker engines run with budgets cleared; the coordinator
-        // enforces the real budgets at round granularity. Likewise
-        // checkpointing: the coordinator snapshots the whole fleet at
-        // round barriers, so workers must not self-write.
-        let mut worker_config = self.config.clone();
-        worker_config.budgets = Budgets::default();
-        worker_config.checkpoint = None;
+        // Worker engines run with budgets and checkpointing cleared:
+        // the coordinator enforces the real budgets at round granularity
+        // and snapshots the whole fleet at round barriers.
+        let substrate = Substrate::new(&self.program, &self.config);
         let ck_cfg = self.config.checkpoint.as_ref().filter(|c| c.every > 0);
-
-        // Shared solver-cache fabric: build the workers over one shared
-        // expression pool — the cache keys are `ExprId` sets, so ids
-        // must be globally stable — plus one shared verdict store.
-        // Merging modes ride too: their merged path conditions are
-        // where prefix-death and superset-refutation structure actually
-        // lives, every engine decision that could see interning order
-        // goes through id-invariant fingerprints, and envelope imports
-        // re-intern into the shared pool so migrated sets keep their
-        // global ids. `jobs = 1` never reaches this path, so the
-        // sequential engine keeps the private caches bit for bit.
-        let shared = self.config.solver.shared_cache.then(|| {
-            (SharedExprPool::new(self.program.width), shared_cache_for(&self.config.solver))
-        });
+        // The coordinator's own pool handle: it imports a resumed
+        // frontier and exports pending states into fleet checkpoints.
+        let mut pool = substrate.pool.handle();
 
         let (to_coord, from_workers): (Sender<FromWorker>, Receiver<FromWorker>) = channel();
         let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(jobs as usize);
@@ -536,21 +519,20 @@ impl ParallelEngine {
             for shard in 0..jobs {
                 let (tx, rx): (Sender<ToWorker>, Receiver<ToWorker>) = channel();
                 to_workers.push(tx);
-                let program = self.program.clone();
-                let mut config = worker_config.clone();
-                config.seed = shard_seed(self.config.seed, shard);
                 let reply = to_coord.clone();
                 let spec = WorkerSpec { shard, jobs, free, par: self.par };
-                let shared = shared.clone();
-                scope.spawn(move || worker_main(spec, program, config, shared, rx, reply));
+                let substrate = &substrate;
+                scope.spawn(move || worker_main(spec, substrate, rx, reply));
             }
             drop(to_coord);
 
             let mut map = RegionMap::all_to_zero(jobs);
             // Resume: the checkpointed frontier replaces the seed state;
             // the checkpoint's accumulated results fold in at reduction.
-            let mut pending: Vec<PortableState> =
-                resume.map(|ck| ck.frontier.clone()).unwrap_or_default();
+            let mut pending: Vec<MovedState> =
+                resume.map(|ck| import_frontier(&ck.frontier, &mut pool)).unwrap_or_default();
+            // States workers handed to the coordinator for routing.
+            let mut moved_states = 0u64;
             let mut held: Vec<Vec<(RegionId, u64)>> = vec![Vec::new(); jobs as usize];
             // Counters carried by workers no longer in the round loop:
             // the resumed-from checkpoint and crashed workers' final
@@ -607,7 +589,7 @@ impl ParallelEngine {
                     break;
                 }
 
-                let mut inboxes: Vec<Vec<PortableState>> = vec![Vec::new(); jobs as usize];
+                let mut inboxes: Vec<Vec<MovedState>> = (0..jobs).map(|_| Vec::new()).collect();
                 let mut keeps: Vec<Option<u64>> = vec![None; jobs as usize];
                 if free {
                     // Count-based stealing: spread pending states over the
@@ -617,15 +599,15 @@ impl ParallelEngine {
                         held.iter().map(|h| h.iter().map(|&(_, n)| n).sum()).collect();
                     let total: u64 = counts.iter().sum::<u64>() + pending.len() as u64;
                     let desired = total.div_ceil(n_live).max(1);
-                    pending.sort_by_key(|env| env.order_key());
+                    pending.sort_by_key(MovedState::order_key);
                     let mut fill: Vec<u64> = counts.clone();
-                    for env in pending.drain(..) {
+                    for moved in pending.drain(..) {
                         let target = (0..jobs as usize)
                             .filter(|&w| live[w])
                             .min_by_key(|&w| (fill[w], w))
                             .expect("a live worker");
                         fill[target] += 1;
-                        inboxes[target].push(env);
+                        inboxes[target].push(moved);
                     }
                     for w in 0..jobs as usize {
                         if live[w] && counts[w] * 2 > desired * 3 {
@@ -642,14 +624,14 @@ impl ParallelEngine {
                                 *loads.entry(r).or_default() += n;
                             }
                         }
-                        for env in &pending {
-                            *loads.entry(env.region).or_default() += 1;
+                        for moved in &pending {
+                            *loads.entry(moved.region).or_default() += 1;
                         }
                         let loads: Vec<(RegionId, u64)> = loads.into_iter().collect();
                         map = RegionMap::balance_live(&loads, jobs, &live);
                     }
-                    for env in pending.drain(..) {
-                        inboxes[map.owner_of(env.region) as usize].push(env);
+                    for moved in pending.drain(..) {
+                        inboxes[map.owner_of(moved.region) as usize].push(moved);
                     }
                 }
 
@@ -681,19 +663,21 @@ impl ParallelEngine {
                 for _ in 0..round_sent {
                     match from_workers.recv().expect("worker alive") {
                         FromWorker::Done(done) => {
-                            pending.extend(done.envelopes);
+                            moved_states += done.moved.len() as u64;
+                            pending.extend(done.moved);
                             held[done.shard as usize] = done.held;
                             steps += done.steps;
                             picks += done.picks;
                             completed += done.completed;
                         }
-                        FromWorker::Crashed { shard, envelopes, output } => {
-                            // Quarantined + drained states come back as
-                            // envelopes; the fleet degrades to N−1 and
-                            // the worker's results fold in at reduction.
+                        FromWorker::Crashed { shard, moved, output } => {
+                            // Quarantined + drained states come back for
+                            // routing; the fleet degrades to N−1 and the
+                            // worker's results fold in at reduction.
                             live[shard as usize] = false;
                             held[shard as usize] = Vec::new();
-                            pending.extend(envelopes);
+                            moved_states += moved.len() as u64;
+                            pending.extend(moved);
                             carry.0 += output.report.steps;
                             carry.1 += output.report.picks;
                             carry.2 += output.report.completed_paths;
@@ -709,7 +693,7 @@ impl ParallelEngine {
 
                 // Fleet checkpoint at the (quiescent) round barrier:
                 // per-worker snapshots merged with the coordinator's
-                // pending envelopes and, when resumed, the base
+                // pending states and, when resumed, the base
                 // checkpoint's accumulated results.
                 if let Some(ckc) = ck_cfg {
                     let mark = totals.1 / ckc.every;
@@ -743,7 +727,10 @@ impl ParallelEngine {
                                 })
                             })
                             .collect();
-                        let merged = merge_parts(&parts, pending.clone(), resume);
+                        pool.sync();
+                        let extra: Vec<PortableState> =
+                            pending.iter().map(|m| PortableState::export(&pool, m)).collect();
+                        let merged = merge_parts(&parts, extra, resume);
                         if let Err(e) = write_checkpoint(&ckc.path, &merged) {
                             eprintln!(
                                 "symmerge: checkpoint write to {} failed: {e}",
@@ -754,7 +741,7 @@ impl ParallelEngine {
                 }
             }
 
-            // Envelopes stranded by a budget stop (or by every worker
+            // States stranded by a budget stop (or by every worker
             // crashing) are unexplored work.
             let stranded = pending.len();
 
@@ -785,6 +772,7 @@ impl ParallelEngine {
             }
             let mut report = reduce_reports(&parts, self.program.num_blocks());
             report.leftover_states += stranded;
+            report.stolen_states = moved_states;
             report.wall_time = start.elapsed();
             report.hit_budget = hit_budget;
             report
@@ -798,7 +786,7 @@ impl ParallelEngine {
 struct Fleet {
     /// Per-worker steal deques. Only the owner pushes (sheds); any
     /// worker pops. Oldest states sit at the front.
-    queues: Vec<Mutex<VecDeque<StolenState>>>,
+    queues: Vec<Mutex<VecDeque<MovedState>>>,
     /// Live states anywhere in the fleet — worklists, deques, or in
     /// flight between them. Exploration is over exactly when this
     /// reaches zero: a state being stepped stays counted until its
@@ -831,11 +819,9 @@ fn steal_budget_tripped(b: &Budgets, start: Instant, fleet: &Fleet) -> bool {
 }
 
 impl ParallelEngine {
-    /// The work-stealing run ([`SchedulerKind::Steal`]): every worker
-    /// builds its engine over one fleet-shared [`SharedExprPool`], so
-    /// states cross threads directly (zero [`PortableState`] envelopes —
-    /// asserted by the differential suite) and idle workers steal from
-    /// per-worker deques instead of waiting at a round barrier.
+    /// The work-stealing run ([`SchedulerKind::Steal`]): idle workers
+    /// steal from per-worker deques instead of waiting at a round
+    /// barrier.
     ///
     /// Runs the full multi-worker machinery even at `jobs = 1`, so the
     /// shared pool's single-thread overhead is honestly measurable
@@ -844,29 +830,17 @@ impl ParallelEngine {
         let jobs = self.par.jobs.max(1);
         let start = Instant::now();
         let budgets = self.config.budgets;
-        let pool = SharedExprPool::new(self.program.width);
-        // The steal fleet already shares the expression pool, so the
-        // verdict store rides along whenever the knob is on (even at
-        // jobs = 1, where — like the pool — its overhead is then
-        // honestly measurable against the BSP/sequential baseline).
-        let cache = self.config.solver.shared_cache.then(|| shared_cache_for(&self.config.solver));
-
         // Worker engines run with budgets cleared; the fleet enforces
         // the real budgets through the shared counters. The steal
         // fleet has no quiescent point to snapshot at, so it never
         // writes checkpoints — it can *resume* one (below), but
         // periodic checkpointing needs the BSP or sequential path.
-        let mut worker_config = self.config.clone();
-        worker_config.budgets = Budgets::default();
-        worker_config.checkpoint = None;
+        let substrate = Substrate::new(&self.program, &self.config);
 
         // Resume: worker 0 injects the checkpointed frontier instead of
-        // seeding; sorted so injection order is checkpoint-determined.
-        let resume_frontier: Option<Vec<PortableState>> = resume.map(|ck| {
-            let mut front = ck.frontier.clone();
-            front.sort_by_key(|env| env.order_key());
-            front
-        });
+        // seeding, in the frontier's deterministic order.
+        let mut resume_frontier: Option<Vec<MovedState>> =
+            resume.map(|ck| import_frontier(&ck.frontier, &mut substrate.pool.handle()));
 
         let fleet = Fleet {
             queues: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -889,27 +863,11 @@ impl ParallelEngine {
         let parts: Vec<ShardOutput> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..jobs)
                 .map(|shard| {
-                    let program = self.program.clone();
-                    let mut config = worker_config.clone();
-                    config.seed = shard_seed(self.config.seed, shard);
-                    let pool = Arc::clone(&pool);
-                    let cache = cache.clone();
                     let par = self.par;
-                    let fleet = &fleet;
-                    let seed_frontier = if shard == 0 { resume_frontier.as_deref() } else { None };
+                    let (substrate, fleet) = (&substrate, &fleet);
+                    let seed_frontier = if shard == 0 { resume_frontier.take() } else { None };
                     scope.spawn(move || {
-                        steal_worker(
-                            shard,
-                            par,
-                            budgets,
-                            start,
-                            program,
-                            config,
-                            pool,
-                            cache,
-                            fleet,
-                            seed_frontier,
-                        )
+                        steal_worker(shard, par, budgets, start, substrate, fleet, seed_frontier)
                     })
                 })
                 .collect();
@@ -942,7 +900,7 @@ impl ParallelEngine {
 /// drops, so after a peer's panic the deque still holds exactly the
 /// live states it held — refusing to serve them would strand work that
 /// the panic-isolation layer just went to the trouble of preserving.
-fn lock_deque<'q>(q: &'q Mutex<VecDeque<StolenState>>) -> MutexGuard<'q, VecDeque<StolenState>> {
+fn lock_deque<'q>(q: &'q Mutex<VecDeque<MovedState>>) -> MutexGuard<'q, VecDeque<MovedState>> {
     q.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -952,26 +910,17 @@ fn lock_deque<'q>(q: &'q Mutex<VecDeque<StolenState>>) -> MutexGuard<'q, VecDequ
 ///
 /// `seed_frontier` is worker 0's resume payload: a checkpointed
 /// frontier to inject instead of seeding the initial state.
-#[allow(clippy::too_many_arguments)] // one-shot thread entry point
 fn steal_worker(
     shard: u32,
     par: ParallelConfig,
     budgets: Budgets,
     start: Instant,
-    program: Program,
-    config: EngineConfig,
-    pool: Arc<SharedExprPool>,
-    cache: Option<Arc<SharedSolverCache>>,
+    substrate: &Substrate<'_>,
     fleet: &Fleet,
-    seed_frontier: Option<&[PortableState]>,
+    seed_frontier: Option<Vec<MovedState>>,
 ) -> ShardOutput {
     let jobs = fleet.queues.len() as u32;
-    let mut builder = Engine::builder(program).config(config).shared_pool(pool);
-    if let Some(cache) = cache {
-        builder = builder.shared_solver_cache(cache);
-    }
-    let mut engine = builder.build().expect("program validated in ParallelEngine::new");
-    engine.set_fault_worker(shard);
+    let mut engine = substrate.engine(shard);
     // Start exploring only once every worker is built: otherwise on a
     // busy host worker 0 can drain a small program before its peers'
     // threads first run, and they never get any work at all.
@@ -979,7 +928,7 @@ fn steal_worker(
     if shard == 0 {
         // The matching pre-count is in `Fleet::outstanding`.
         match seed_frontier {
-            Some(front) => engine.inject_all(front),
+            Some(front) => engine.inject_direct(front),
             None => engine.seed_initial(),
         }
     }
@@ -997,7 +946,7 @@ fn steal_worker(
         if engine.worklist_len() == 0 {
             // Reclaim the own deque first: those states were shed for
             // starving peers, but none took them.
-            let own: Vec<StolenState> = {
+            let own: Vec<MovedState> = {
                 let mut q = lock_deque(&fleet.queues[shard as usize]);
                 q.drain(..).collect()
             };
@@ -1008,7 +957,7 @@ fn steal_worker(
             // Steal: round-robin over the peers, taking half a victim's
             // deque from the configured end (`steal_newest` means the
             // same thing here as in the BSP free-placement stealer).
-            let mut stolen: Vec<StolenState> = Vec::new();
+            let mut stolen: Vec<MovedState> = Vec::new();
             for step in 1..jobs {
                 let victim = ((shard + step) % jobs) as usize;
                 let mut q = lock_deque(&fleet.queues[victim]);
@@ -1109,39 +1058,37 @@ struct WorkerSpec {
     par: ParallelConfig,
 }
 
-/// A worker thread: owns one shard-mode [`Engine`] and serves rounds
-/// until told to finish. With the shared cache fabric on (`shared`),
-/// the engine is built over the fleet's expression pool and verdict
-/// store; states still travel as [`PortableState`] envelopes.
+/// A BSP worker thread: owns one shard-mode [`Engine`] and serves
+/// rounds until told to finish.
 fn worker_main(
     spec: WorkerSpec,
-    program: Program,
-    config: EngineConfig,
-    shared: Option<(Arc<SharedExprPool>, Arc<SharedSolverCache>)>,
+    substrate: &Substrate<'_>,
     rx: Receiver<ToWorker>,
     reply: Sender<FromWorker>,
 ) {
     let WorkerSpec { shard, jobs, free, par } = spec;
-    let mut builder = Engine::builder(program).config(config);
-    if let Some((pool, cache)) = shared {
-        builder = builder.shared_pool(pool).shared_solver_cache(cache);
-    }
-    let mut engine = builder.build().expect("program validated in ParallelEngine::new");
-    engine.enable_shard(shard, RegionMap::all_to_zero(jobs), free);
-    engine.set_fault_worker(shard);
+    let mut engine = substrate.engine(shard);
+    engine.enable_shard(RegionMap::all_to_zero(jobs), free);
 
     while let Ok(msg) = rx.recv() {
         match msg {
             ToWorker::Round { map, mut inbox, quota, seed, keep } => {
+                // States this worker hands out in the round. They live
+                // outside the unwind guard: a panic later in the round
+                // must not drop the states it evicted at the start.
+                let mut moved: Vec<MovedState> = Vec::new();
                 // The whole round body runs under `catch_unwind` so a
                 // panicking worker (injected or organic) degrades the
                 // fleet instead of tearing down the run — but only
                 // while panic isolation is armed; otherwise the panic
                 // propagates exactly as before.
                 let round = catch_unwind(AssertUnwindSafe(|| {
-                    let mut envelopes = match keep {
+                    moved = match keep {
                         // Free placement: steal by count, regions ignored.
-                        Some(keep) => engine.evict_excess(keep, par.steal_newest),
+                        Some(keep) => {
+                            let excess = engine.worklist_len().saturating_sub(keep as usize);
+                            engine.shed_states(excess, par.steal_newest)
+                        }
                         // Region policy: install the new map, evict lost regions.
                         None if free => Vec::new(),
                         None => engine.set_region_map(map),
@@ -1151,11 +1098,11 @@ fn worker_main(
                     }
                     // Deterministic integration order regardless of the
                     // timing-dependent order replies reached the coordinator.
-                    // The batch integrates through `inject_all` so the
-                    // round's warm-prefix seeds pre-warm the local context
-                    // tree together (shared prefixes blasted once).
-                    inbox.sort_by_key(|env| env.order_key());
-                    engine.inject_all(&inbox);
+                    // The batch integrates at once so the round's
+                    // warm-prefix seeds pre-warm the local context tree
+                    // together (shared prefixes blasted once).
+                    inbox.sort_by_key(MovedState::order_key);
+                    engine.inject_direct(inbox);
                     let mut steps = 0u64;
                     while steps < quota {
                         match engine.explore_step() {
@@ -1166,46 +1113,33 @@ fn worker_main(
                             ExploreStep::BudgetExhausted => break,
                         }
                     }
-                    envelopes.extend(engine.take_outbox());
-                    let (steps, picks, completed) = engine.progress_counters();
-                    RoundDone {
-                        shard,
-                        envelopes,
-                        held: engine.held_counts(),
-                        steps,
-                        picks,
-                        completed,
-                    }
                 }));
-                match round {
-                    Ok(done) => {
-                        if reply.send(FromWorker::Done(done)).is_err() {
-                            return;
-                        }
+                if let Err(payload) = round {
+                    if !engine.isolation_armed() {
+                        resume_unwind(payload);
                     }
-                    Err(payload) => {
-                        if !engine.isolation_armed() {
-                            resume_unwind(payload);
-                        }
-                        // Crash protocol: quarantine the in-flight
-                        // state, re-envelope everything this worker
-                        // still holds (worklist and outbox), and send
-                        // it all out with the final report. The thread
-                        // then retires — the fleet runs on at N−1.
-                        engine.recover_from_panic();
-                        let mut envelopes = engine.drain_to_envelopes();
-                        envelopes.extend(engine.take_outbox());
-                        let output = ShardOutput {
-                            report: engine.report(false),
-                            covered: engine.covered_pairs(),
-                        };
-                        let _ = reply.send(FromWorker::Crashed {
-                            shard,
-                            envelopes,
-                            output: Box::new(output),
-                        });
-                        return;
-                    }
+                    // Crash protocol: quarantine the in-flight state,
+                    // hand out everything this worker still holds
+                    // (evicted states, worklist and outbox), and send it
+                    // all out with the final report. The thread then
+                    // retires — the fleet runs on at N−1.
+                    engine.recover_from_panic();
+                    moved.extend(engine.shed_states(engine.worklist_len(), par.steal_newest));
+                    moved.extend(engine.take_outbox());
+                    let output = ShardOutput {
+                        report: engine.report(false),
+                        covered: engine.covered_pairs(),
+                    };
+                    let _ =
+                        reply.send(FromWorker::Crashed { shard, moved, output: Box::new(output) });
+                    return;
+                }
+                moved.extend(engine.take_outbox());
+                let (steps, picks, completed) = engine.progress_counters();
+                let done =
+                    RoundDone { shard, moved, held: engine.held_counts(), steps, picks, completed };
+                if reply.send(FromWorker::Done(done)).is_err() {
+                    return;
                 }
             }
             ToWorker::Checkpoint => {
@@ -1293,24 +1227,31 @@ mod tests {
             assert_eq!(test_bytes(&par), test_bytes(&seq), "jobs={jobs}");
             assert!(!par.hit_budget);
             assert_eq!(par.leftover_states, 0);
+            assert!(par.stolen_states > 0, "jobs={jobs}: the tiny quota must move states");
         }
     }
 
     #[test]
     fn parallel_runs_are_deterministic() {
-        for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
-            let strategy = match mode {
-                MergeMode::Static => StrategyKind::Topological,
-                _ => StrategyKind::CoverageOptimized,
-            };
-            let cfg = config(mode, strategy);
-            let a = run_jobs(BRANCHY, cfg.clone(), 4, 3);
-            let b = run_jobs(BRANCHY, cfg.clone(), 4, 3);
-            assert_eq!(a.completed_paths, b.completed_paths, "{mode:?}");
-            assert_eq!(a.completed_multiplicity, b.completed_multiplicity, "{mode:?}");
-            assert_eq!(a.merges, b.merges, "{mode:?}");
-            assert_eq!(a.steps, b.steps, "{mode:?}");
-            assert_eq!(test_bytes(&a), test_bytes(&b), "{mode:?}: tests must be byte-identical");
+        // With the verdict store off the fleet still shares one pool, so
+        // both settings must reproduce per (seed, jobs).
+        for shared_cache in [true, false] {
+            for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
+                let strategy = match mode {
+                    MergeMode::Static => StrategyKind::Topological,
+                    _ => StrategyKind::CoverageOptimized,
+                };
+                let mut cfg = config(mode, strategy);
+                cfg.solver.shared_cache = shared_cache;
+                let a = run_jobs(BRANCHY, cfg.clone(), 4, 3);
+                let b = run_jobs(BRANCHY, cfg.clone(), 4, 3);
+                let who = format!("{mode:?} shared_cache={shared_cache}");
+                assert_eq!(a.completed_paths, b.completed_paths, "{who}");
+                assert_eq!(a.completed_multiplicity, b.completed_multiplicity, "{who}");
+                assert_eq!(a.merges, b.merges, "{who}");
+                assert_eq!(a.steps, b.steps, "{who}");
+                assert_eq!(test_bytes(&a), test_bytes(&b), "{who}: tests must be byte-identical");
+            }
         }
     }
 
@@ -1414,15 +1355,15 @@ mod tests {
     }
 
     #[test]
-    fn steal_scheduler_is_set_identical_to_bsp_with_zero_envelopes() {
+    fn steal_scheduler_is_set_identical_to_bsp() {
         let cfg = config(MergeMode::None, StrategyKind::Bfs);
         let seq = run_jobs(BRANCHY, cfg.clone(), 1, 512);
-        // BSP with real migration traffic serializes envelopes...
+        // BSP with real migration traffic...
         let bsp = run_jobs(BRANCHY, cfg.clone(), 4, 2);
-        assert!(bsp.envelope_exports > 0, "tiny-quota BSP must migrate through envelopes");
-        assert!(bsp.envelope_nodes > 0);
-        // ...the steal path never does, and still lands on the same
-        // path set, coverage and test bytes.
+        assert!(bsp.stolen_states > 0, "tiny-quota BSP must move states between workers");
+        assert_eq!(test_bytes(&bsp), test_bytes(&seq));
+        // ...and the steal path land on the same path set, coverage and
+        // test bytes.
         for jobs in [1, 2, 4] {
             let par = run_steal_jobs(BRANCHY, cfg.clone(), jobs);
             assert_eq!(par.completed_paths, seq.completed_paths, "jobs={jobs}");
@@ -1435,11 +1376,6 @@ mod tests {
             assert_eq!(par.merges, 0);
             assert_eq!(par.leftover_states, 0);
             assert!(!par.hit_budget);
-            assert_eq!(
-                par.envelope_exports, 0,
-                "jobs={jobs}: the steal path must never serialize a PortableDag"
-            );
-            assert_eq!(par.envelope_nodes, 0, "jobs={jobs}");
         }
     }
 

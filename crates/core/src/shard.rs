@@ -1,6 +1,6 @@
 //! Sharding substrate for the parallel exploration engine: topological
-//! regions, the region → worker assignment, and the portable state
-//! envelopes that cross worker (and therefore [`ExprPool`]) boundaries.
+//! regions, the region → worker assignment, and the record a state
+//! moves between workers in.
 //!
 //! # Regions
 //!
@@ -26,28 +26,21 @@
 //! never individual states, so mergeable groups stay together — and the
 //! decision depends only on deterministic load counts, never on timing.
 //!
-//! # Envelopes
+//! # Moving states
 //!
-//! [`PortableState`] is a [`State`] flattened onto a [`PortableDag`]:
-//! every expression the state references (path condition, stores,
-//! outputs) is exported into one shared pool-free DAG, together with the
-//! DSM history and fast-forward flag the engine tracks alongside the
-//! state. Importing re-interns the expressions into the receiving
-//! worker's pool. Host-local scheduling hints are deliberately *not*
-//! part of the envelope: the solver affinity token
-//! ([`State::affinity`](crate::state::State)) indexes the origin
-//! worker's solver clock, so it is dropped at export and
-//! deterministically re-derived at import — as 0 ("context cold here"),
-//! or, under warm-context migration, from the *receiving* solver's
-//! clock after its context tree is pre-warmed. The one migration hint
-//! that does travel is portable by construction: the **warm-prefix
-//! seed** ([`PortableState::warm_len`]) is a length into the state's
-//! own pc-conjunct sequence, meaningful on any worker.
+//! Every fleet worker is built over one
+//! [`symmerge_expr::SharedExprPool`], so a state's `ExprId`s mean the
+//! same thing on every worker and a state moves between workers as an
+//! owned [`MovedState`] record. Host-local scheduling hints do not
+//! travel: the solver affinity token
+//! ([`State::affinity`](crate::state::State)) indexes the donor's solver
+//! clock, so the receiver resets it and re-derives it from its own
+//! solver. The one hint that does travel is meaningful on any worker:
+//! the **warm-prefix seed** ([`MovedState::warm_len`]), a length into the
+//! state's own pc-conjunct sequence.
 
-use crate::state::{Frame, Slot, State, StateId};
-use std::collections::{HashMap, VecDeque};
-use symmerge_expr::{DagExporter, ExprPool, PortableDag, PortableRef};
-use symmerge_ir::{BlockId, FuncId, LocalId};
+use crate::state::State;
+use std::collections::VecDeque;
 
 /// A topological region identifier (see the [module docs](self)).
 pub type RegionId = u32;
@@ -141,208 +134,48 @@ impl RegionMap {
     }
 }
 
-/// One local slot of a [`PortableState`]. Crate-visible so the
-/// checkpoint codec ([`crate::checkpoint`]) can serialize envelopes.
-#[derive(Debug, Clone)]
-pub(crate) enum PortableSlot {
-    Int(PortableRef),
-    Array(Vec<PortableRef>),
-}
-
-/// One call-stack frame of a [`PortableState`].
-#[derive(Debug, Clone)]
-pub(crate) struct PortableFrame {
-    pub(crate) func: u32,
-    pub(crate) block: u32,
-    pub(crate) instr: u32,
-    pub(crate) ret_dest: Option<u32>,
-    pub(crate) locals: Vec<PortableSlot>,
-}
-
-/// A [`State`] (plus its engine-side DSM bookkeeping) serialized into a
-/// pool-independent envelope for cross-worker migration.
-#[derive(Debug, Clone)]
-pub struct PortableState {
-    /// The state's region at export time (destination routing key).
-    pub region: RegionId,
-    /// The exporting worker's index.
-    pub origin_shard: u32,
-    /// Monotonic per-worker sequence number; `(origin_shard,
-    /// origin_seq)` totally orders a round's envelopes, which is what
-    /// makes the receiving worker's integration order deterministic.
-    pub origin_seq: u64,
-    pub(crate) dag: PortableDag,
-    pub(crate) frames: Vec<PortableFrame>,
-    pub(crate) globals: Vec<PortableSlot>,
-    pub(crate) pc: Vec<PortableRef>,
-    pub(crate) outputs: Vec<PortableRef>,
-    pub(crate) multiplicity: f64,
-    pub(crate) steps: u64,
-    pub(crate) sym_counters: Vec<(String, u32)>,
-    pub(crate) history: Vec<u64>,
-    pub(crate) ff: bool,
-    /// The **warm-prefix seed**: how many leading `pc` conjuncts were
-    /// resident in the *donor's* solver-context tree at export time
-    /// (`Solver::resident_prefix_len`). A prefix of an
-    /// already-serialized field, so it costs one integer — maximally
-    /// compact. The receiving worker batches the seeds of a whole
-    /// migration round and pre-warms its own context tree for them
-    /// (shared conjuncts blasted once, divergences forked), instead of
-    /// every migrated lineage re-blasting its prefix cold at first
-    /// query. Purely a residency hint: results never depend on it.
-    pub(crate) warm_len: u32,
-}
-
-impl PortableState {
-    /// Serializes `state` (with its DSM `history` and fast-forward flag)
-    /// into an envelope addressed by `region`, with a cold (0) warm-prefix
-    /// seed — chain [`PortableState::with_warm_len`] to attach the donor's
-    /// resident-prefix length.
-    pub fn export(
-        pool: &ExprPool,
-        state: &State,
-        history: &VecDeque<u64>,
-        ff: bool,
-        region: RegionId,
-        origin_shard: u32,
-        origin_seq: u64,
-    ) -> PortableState {
-        let mut exp = DagExporter::new(pool);
-        let slot = |exp: &mut DagExporter<'_>, s: &Slot| match s {
-            Slot::Int(e) => PortableSlot::Int(exp.add(*e)),
-            Slot::Array(cells) => PortableSlot::Array(cells.iter().map(|&c| exp.add(c)).collect()),
-        };
-        let frames = state
-            .frames
-            .iter()
-            .map(|f| PortableFrame {
-                func: f.func.0,
-                block: f.block.0,
-                instr: f.instr,
-                ret_dest: f.ret_dest.map(|d| d.0),
-                locals: f.locals.iter().map(|s| slot(&mut exp, s)).collect(),
-            })
-            .collect();
-        let globals = state.globals.iter().map(|s| slot(&mut exp, s)).collect();
-        let pc = state.pc.iter().map(|&c| exp.add(c)).collect();
-        let outputs = state.outputs.iter().map(|&o| exp.add(o)).collect();
-        let mut sym_counters: Vec<(String, u32)> =
-            state.sym_counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        sym_counters.sort();
-        PortableState {
-            region,
-            origin_shard,
-            origin_seq,
-            dag: exp.finish(),
-            frames,
-            globals,
-            pc,
-            outputs,
-            multiplicity: state.multiplicity,
-            steps: state.steps,
-            sym_counters,
-            history: history.iter().copied().collect(),
-            ff,
-            warm_len: 0,
-        }
-    }
-
-    /// Attaches the warm-prefix seed: how many leading `pc` conjuncts the
-    /// donor still had resident in its solver-context tree (clamped to
-    /// the pc length — the seed can never claim more than the pc itself).
-    pub fn with_warm_len(mut self, warm_len: u32) -> PortableState {
-        self.warm_len = warm_len.min(self.pc.len() as u32);
-        self
-    }
-
-    /// The warm-prefix seed length, clamped to the pc length (see the
-    /// field docs): `pc[..warm_len]` was resident on the donor.
-    pub fn warm_len(&self) -> usize {
-        self.warm_len as usize
-    }
-
-    /// Rebuilds the state in the receiving worker's pool, under a fresh
-    /// local `id`. Returns the state together with its DSM history and
-    /// fast-forward flag.
-    pub fn import(&self, pool: &mut ExprPool, id: StateId) -> (State, VecDeque<u64>, bool) {
-        let ids = self.dag.import(pool);
-        let slot = |s: &PortableSlot| match s {
-            PortableSlot::Int(r) => Slot::Int(ids[*r as usize]),
-            PortableSlot::Array(cells) => {
-                Slot::Array(cells.iter().map(|&c| ids[c as usize]).collect())
-            }
-        };
-        let frames: Vec<Frame> = self
-            .frames
-            .iter()
-            .map(|f| Frame {
-                func: FuncId(f.func),
-                block: BlockId(f.block),
-                instr: f.instr,
-                locals: f.locals.iter().map(slot).collect(),
-                ret_dest: f.ret_dest.map(LocalId),
-            })
-            .collect();
-        let state = State {
-            id,
-            frames,
-            globals: self.globals.iter().map(slot).collect(),
-            pc: self.pc.iter().map(|&c| ids[c as usize]).collect(),
-            outputs: self.outputs.iter().map(|&o| ids[o as usize]).collect(),
-            multiplicity: self.multiplicity,
-            steps: self.steps,
-            sym_counters: self
-                .sym_counters
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect::<HashMap<String, u32>>(),
-            // Affinity tokens index into the *origin* worker's solver
-            // clock; on this worker the prefix context is cold by
-            // definition. The envelope therefore never carries affinity
-            // — it is deterministically re-derived as 0 on import, which
-            // keeps the parallel ≡ sequential byte-identity contract
-            // independent of migration history.
-            affinity: 0,
-        };
-        (state, self.history.iter().copied().collect(), self.ff)
-    }
-
-    /// The deterministic ordering key envelopes are integrated in.
-    pub fn order_key(&self) -> (u32, u64) {
-        (self.origin_shard, self.origin_seq)
-    }
-
-    /// Number of DAG nodes serialized into this envelope — the
-    /// re-interning cost the importer pays, and the traffic the
-    /// shared-pool steal scheduler eliminates.
-    pub fn dag_nodes(&self) -> usize {
-        self.dag.len()
-    }
-}
-
-/// A state crossing worker threads *directly* under the work-stealing
-/// scheduler: plain `Send` data whose `ExprId`s resolve in the
-/// fleet-shared [`symmerge_expr::SharedExprPool`] — no [`PortableDag`]
-/// serialization, no re-interning. Carries the same engine-side
-/// bookkeeping an envelope does (DSM history, fast-forward flag) plus
-/// the warm-prefix seed (see [`PortableState::warm_len`]).
+/// A state moving between fleet workers, under either scheduler: plain
+/// `Send` data whose `ExprId`s resolve in the fleet's one
+/// [`symmerge_expr::SharedExprPool`], so nothing is serialized or
+/// re-interned on the way. It carries the engine-side bookkeeping that
+/// travels with a state (DSM history, fast-forward flag, warm-prefix
+/// seed) plus the routing `region` and the `(origin_shard, origin_seq)`
+/// key that keeps BSP integration order deterministic. The receiver
+/// re-ids the state locally and re-derives its solver affinity.
 #[derive(Debug)]
-pub struct StolenState {
-    /// The state itself, ids intact (the receiver re-ids it locally).
+pub struct MovedState {
+    /// The state itself, ids intact.
     pub state: State,
     /// The state's DSM signature history.
     pub history: VecDeque<u64>,
     /// Whether the state was being fast-forwarded (paper §5.5).
     pub ff: bool,
-    /// How many leading `pc` conjuncts were resident in the donor's
-    /// solver-context tree, for batch prewarming on the thief.
+    /// The **warm-prefix seed**: how many leading `pc` conjuncts were
+    /// resident in the donor's solver-context tree when the state left.
+    /// The receiver batches a migration's seeds and pre-warms its own
+    /// context tree for them (shared conjuncts blasted once, divergences
+    /// forked). Purely a residency hint: results never depend on it.
     pub warm_len: u32,
+    /// The state's region when it left (the BSP routing key).
+    pub region: RegionId,
+    /// The donor worker's index.
+    pub origin_shard: u32,
+    /// Per-donor sequence number; `(origin_shard, origin_seq)` totally
+    /// orders a BSP round's arrivals, which makes the receiver's
+    /// integration order independent of thread timing.
+    pub origin_seq: u64,
+}
+
+impl MovedState {
+    /// The deterministic ordering key BSP integrates arrivals in.
+    pub fn order_key(&self) -> (u32, u64) {
+        (self.origin_shard, self.origin_seq)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symmerge_ir::minic;
 
     #[test]
     fn region_map_balances_contiguously() {
@@ -403,70 +236,5 @@ mod tests {
     fn region_map_is_deterministic() {
         let loads: Vec<(RegionId, u64)> = vec![(1, 3), (2, 9), (5, 1), (8, 4)];
         assert_eq!(RegionMap::balance(&loads, 3), RegionMap::balance(&loads, 3));
-    }
-
-    #[test]
-    fn portable_state_round_trips_across_pools() {
-        let program = minic::compile_with_width(
-            r#"
-            global g = 7;
-            global buf[3] = "ab";
-            fn main() {
-                let x = sym_int("x");
-                let y = sym_int("y");
-                if (x > 3) { putchar(x + y); }
-            }
-        "#,
-            8,
-        )
-        .unwrap();
-        let mut src = ExprPool::new(8);
-        let mut state = State::initial(&program, &mut src, StateId(0));
-        // Give the state some symbolic structure.
-        let x = src.input("x", 8);
-        let y = src.input("y", 8);
-        let s = src.add(x, y);
-        let three = src.bv_const(3, 8);
-        let c = src.ugt(x, three);
-        state.pc.push(c);
-        state.outputs.push(s);
-        state.frames[0].locals[0] = Slot::Int(x);
-        state.multiplicity = 2.0;
-        state.steps = 17;
-        state.sym_counters.insert("x".into(), 1);
-
-        let hist: VecDeque<u64> = vec![11, 22].into();
-        let ps = PortableState::export(&src, &state, &hist, true, 4, 1, 9).with_warm_len(1);
-        assert_eq!(ps.region, 4);
-        assert_eq!(ps.order_key(), (1, 9));
-        assert_eq!(ps.warm_len(), 1);
-        // The seed can never claim more than the pc itself.
-        let clamped = PortableState::export(&src, &state, &hist, true, 4, 1, 9).with_warm_len(99);
-        assert_eq!(clamped.warm_len(), state.pc.len());
-
-        let mut dst = ExprPool::new(8);
-        let _ = dst.input("y", 8); // different interning history
-        let (back, hist2, ff) = ps.import(&mut dst, StateId(42));
-        assert_eq!(back.id, StateId(42));
-        assert_eq!(hist2, hist);
-        assert!(ff);
-        assert_eq!(back.multiplicity, 2.0);
-        assert_eq!(back.steps, 17);
-        assert_eq!(back.sym_counters.get("x"), Some(&1));
-        assert_eq!(back.frames.len(), state.frames.len());
-        assert_eq!(back.control_key(), state.control_key(), "control key is pool-independent");
-        // Semantics of the migrated pc/outputs match under x = 5, y = 2.
-        let env_src = |sym| match src.symbol_name(sym) {
-            "x" => 5u64,
-            "y" => 2,
-            _ => 0,
-        };
-        let env_dst = |sym| match dst.symbol_name(sym) {
-            "x" => 5u64,
-            "y" => 2,
-            _ => 0,
-        };
-        assert_eq!(src.eval(state.pc[0], &env_src), dst.eval(back.pc[0], &env_dst));
-        assert_eq!(src.eval(state.outputs[0], &env_src), dst.eval(back.outputs[0], &env_dst));
     }
 }

@@ -82,11 +82,11 @@ pub struct State {
     /// Schedulers use it as a deterministic tie-break toward states
     /// whose context is likely still resident. Derived from per-solver
     /// monotone counters — never wall-clock — so it is reproducible per
-    /// seed; it is meaningless across solvers and therefore dropped when
-    /// a state migrates to another shard and re-derived *locally* on
-    /// import: 0 ("context cold here"), or the receiving solver's stamp
-    /// for the warm-prefix trunk the inject round pre-warmed (see
-    /// [`crate::shard::PortableState`]).
+    /// seed; it is meaningless across solvers and therefore reset when
+    /// a state moves to another worker and re-derived *locally*: 0
+    /// ("context cold here"), or the receiving solver's stamp for the
+    /// warm-prefix trunk the inject batch pre-warmed (see
+    /// [`crate::shard::MovedState`]).
     pub affinity: u64,
 }
 
@@ -245,17 +245,17 @@ mod tests {
 
     #[test]
     fn state_layer_is_send() {
-        // The parallel engine moves programs and reports between threads
-        // and rebuilds states inside worker threads; everything a state
-        // holds must therefore be `Send`. `ExprId`s are plain indices
-        // (meaningful only with their pool, which never crosses threads —
-        // `PortableState` is the cross-thread form), so `State` itself is
-        // `Send` by composition; this is the compile-time audit.
+        // The parallel engine moves programs, reports and states between
+        // threads; everything a state holds must therefore be `Send`.
+        // `ExprId`s are plain indices into the fleet's shared pool, which
+        // every worker holds a handle onto, so a state crosses threads as
+        // is inside a `MovedState` record; this is the compile-time audit.
         fn assert_send<T: Send>() {}
         assert_send::<State>();
         assert_send::<Frame>();
         assert_send::<Slot>();
         assert_send::<StateId>();
+        assert_send::<crate::shard::MovedState>();
     }
 
     #[test]

@@ -104,7 +104,6 @@ fn arb_shard_output() -> impl Strategy<Value = ShardOutput> {
                         completed_paths: completed,
                         completed_multiplicity: f64::from(mult),
                         pruned_by_assume: completed / 3,
-                        assert_failures: Vec::new(),
                         tests,
                         tests_dropped_unknown: completed / 7,
                         picks,
@@ -115,19 +114,16 @@ fn arb_shard_output() -> impl Strategy<Value = ShardOutput> {
                         merge_rejects: merges * 2,
                         max_worklist,
                         leftover_states: (steps % 5) as usize,
-                        envelope_exports: steps / 4,
-                        envelope_nodes: steps * 3,
                         steals: picks / 5,
                         stolen_states: picks / 4,
                         idle_waits: picks / 6,
                         quarantined_states: picks / 9,
-                        covered_blocks: 0,
                         total_blocks: 60,
                         ff_merged: merges / 2,
-                        dsm: Default::default(),
                         solver,
                         wall_time: Duration::from_micros(steps),
                         hit_budget: steps % 2 == 0,
+                        ..RunReport::default()
                     },
                     covered,
                 }
@@ -158,7 +154,6 @@ fn observable(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
             r.hit_budget,
         ),
         (
-            (r.envelope_exports, r.envelope_nodes),
             (r.steals, r.stolen_states, r.idle_waits, r.quarantined_states),
             // Counters only: the timing fields of two real runs
             // legitimately differ, and their reduction is pinned by

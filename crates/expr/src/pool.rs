@@ -51,7 +51,7 @@ struct SymbolTable {
 }
 
 /// A concurrent, append-only hash-consing table shared by every worker of
-/// a work-stealing exploration.
+/// a parallel exploration.
 ///
 /// The shared pool is the allocation authority: it assigns globally stable
 /// [`ExprId`]s / [`SymbolId`]s, so expressions built by one worker are
@@ -69,10 +69,10 @@ struct SymbolTable {
 /// hash-consing still guarantees one node per kind, and the id-order
 /// canonicalization of commutative operands picks *an* orientation
 /// consistently for all workers within a run (ids are global) — but ids
-/// must not be used as cross-run-stable values. The deterministic BSP
-/// engine therefore keeps per-worker local pools; the shared pool is the
-/// substrate of the work-stealing scheduler, whose contract is
-/// set-identical results rather than trace reproducibility.
+/// must not be used as cross-run-stable values. A scheduler that must
+/// reproduce its runs (the parallel engine's BSP rounds) therefore routes
+/// every decision that could see an id through id-invariant
+/// fingerprints.
 #[derive(Debug)]
 pub struct SharedExprPool {
     shards: Vec<RwLock<HashMap<ExprKind, ExprId>>>,

@@ -1,13 +1,15 @@
 //! Pool-independent expression transport.
 //!
 //! [`ExprId`]s are only meaningful relative to the [`ExprPool`] that
-//! created them, which is exactly right for a single-threaded engine and
-//! exactly wrong for a sharded one: the parallel exploration engine runs
-//! one pool per worker, and a state that migrates between shards must
-//! carry its expressions across the pool boundary. A [`PortableDag`] is
-//! the wire format for that trip: a self-contained, pool-free rendering
-//! of an expression DAG (symbols by *name*, nodes in child-before-parent
-//! order) that any pool can re-intern.
+//! created them. An expression that has to outlive its pool — a state
+//! written into a checkpoint and resumed by another process, possibly
+//! under another scheduler — must be carried across that boundary. A
+//! [`PortableDag`] is the format for that trip: a self-contained,
+//! pool-free rendering of an expression DAG (symbols by *name*, nodes in
+//! child-before-parent order) that any pool can re-intern. (Live states
+//! never need it: parallel workers share one
+//! [`SharedExprPool`](crate::SharedExprPool) and move states as they
+//! are.)
 //!
 //! Importing goes through the ordinary smart constructors, so the
 //! destination pool re-canonicalizes operand order and re-runs the local
@@ -20,8 +22,8 @@
 //! (symbol names, structure, constants); anything that indexes host-local
 //! machinery must not (raw [`ExprId`]s, and by the same token the
 //! engine-side solver-affinity stamps, which index one solver's context
-//! clock — their envelope, `symmerge-core`'s `PortableState`, drops them
-//! at export and re-derives them on import).
+//! clock — `symmerge-core`'s checkpoint record, `PortableState`, drops
+//! them at export and re-derives them on import).
 //!
 //! ```
 //! use symmerge_expr::{DagExporter, ExprPool, Value};
@@ -161,16 +163,6 @@ impl PortableDag {
             ids.push(id);
         }
         ids
-    }
-
-    /// Number of nodes in the table.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the dag contains no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 }
 
@@ -332,7 +324,7 @@ mod tests {
         let b = exp.add(r2);
         let dag = exp.finish();
         // x, 1, inc, 2, r1, r2: the shared subgraph is emitted once.
-        assert_eq!(dag.len(), 6);
+        assert_eq!(dag.nodes.len(), 6);
         let mut dst = ExprPool::new(8);
         let ids = dag.import(&mut dst);
         assert!(dst.sort(ids[a as usize]).is_bool());

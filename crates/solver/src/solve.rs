@@ -167,10 +167,12 @@ pub struct SolverConfig {
     /// engine attaches one ([`Solver::attach_shared_cache`]): consult
     /// the worker's read mirror after the private tiers miss, and
     /// publish fresh verdicts and unsat cores for the other workers.
-    /// Only parallel runs ever attach a store — a sequential engine
-    /// (`jobs = 1`) keeps the private path bit-for-bit regardless of
-    /// this flag — and the shared cex tiers sit behind the same
-    /// warm-route [`SolverConfig::tier_gate`] as the private ones.
+    /// Every parallel fleet attaches its store and shares one
+    /// expression pool whatever this flag says; the flag gates only the
+    /// verdict store. A sequential engine (`jobs = 1`) attaches nothing
+    /// and keeps the private path bit-for-bit regardless, and the
+    /// shared cex tiers sit behind the same warm-route
+    /// [`SolverConfig::tier_gate`] as the private ones.
     /// `SYMMERGE_SHARED_CACHE=0` is the ablation leg.
     pub shared_cache: bool,
 }

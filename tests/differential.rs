@@ -272,15 +272,13 @@ fn parallel_differential_stdin_and_mixed_workloads() {
     parallel_differential_for(&WORKLOADS[8..]);
 }
 
-/// The scheduler differential: the work-stealing scheduler shares one
-/// hash-consed expression pool and migrates states by direct `Send`, so
-/// under `MergeMode::None` with canonical models it must reproduce the
-/// sequential engine's result set exactly — same counters, verdicts,
-/// coverage and generated-test bytes — at every worker count, while
-/// serializing **zero** `PortableState` envelopes (`run_parallel_steal`
-/// asserts the envelope counters). Unlike the BSP rounds, steal-mode
-/// scheduling is timing-dependent; `MergeMode::None`'s schedule-invariant
-/// path set is what keeps the *results* byte-comparable anyway.
+/// The scheduler differential: under `MergeMode::None` with canonical
+/// models the work-stealing scheduler must reproduce the sequential
+/// engine's result set exactly — same counters, verdicts, coverage and
+/// generated-test bytes — at every worker count. Unlike the BSP rounds,
+/// steal-mode scheduling is timing-dependent; `MergeMode::None`'s
+/// schedule-invariant path set is what keeps the *results*
+/// byte-comparable anyway.
 fn steal_differential_for(workloads: &[(&str, InputConfig)]) {
     let solver = SolverConfig { canonical_models: true, ..env_solver() };
     for &(name, cfg) in workloads {

@@ -10,7 +10,9 @@
 //!   quarantines the in-flight state, re-queues it, and retires the
 //!   worker; the surviving fleet must reproduce the fault-free run's
 //!   tests, verdicts, coverage and path counts exactly, on both the BSP
-//!   and the work-stealing scheduler;
+//!   and the work-stealing scheduler; under the merging modes, whose
+//!   merge structure depends on the schedule, a BSP crash must instead
+//!   keep the mode-invariance contract against the unmerged run;
 //! * **Unknown equivalence** — seeded solver `Unknown`s
 //!   (`unknown=<num>/<den>:<seed>`) are absorbed by the retry ladder
 //!   (injection applies only to a query's *first* attempt), so the run
@@ -129,6 +131,63 @@ fn bsp_worker_panic_preserves_results() {
                 faulted.quarantined_states, 1,
                 "{who}: exactly the one scheduled panic must fire and quarantine"
             );
+        }
+    }
+}
+
+/// BSP, worker 0 panicking a few rounds in, after the coordinator has
+/// begun moving work off it. Worker 0 because region placement (the
+/// merging modes) starts every region there, and the other workers may
+/// never pick at all. The states the worker evicted at the start of its
+/// last round (a lost region, or free placement's excess) must reach the
+/// survivors along with the crash drain, routed over the live workers
+/// (`RegionMap::balance_live` under region placement). `MergeMode::None`
+/// must reproduce the fault-free results exactly; the merging modes, whose
+/// merge structure depends on the schedule, must keep the differential
+/// suite's mode-invariance contract against the unmerged fault-free run:
+/// the same coverage and failure verdicts, no more completed states, and
+/// a multiplicity never below the exact path count (it over-approximates,
+/// by an amount that depends on which states merged).
+#[test]
+fn bsp_worker_panic_mid_rebalance_preserves_results() {
+    // At a 4-step quota, pick 12 lands in a round that began with an
+    // eviction on at least `wc`.
+    let plan = "panic=0:12";
+    let verdicts = |r: &RunReport| -> BTreeSet<String> {
+        r.assert_failures.iter().map(|f| f.msg.clone()).collect()
+    };
+    for &(workload, cfg) in WORKLOADS {
+        for jobs in [2u32, 4] {
+            let baseline = run_jobs(workload, cfg, None, SchedulerKind::Bsp, jobs);
+            for (mode, strategy) in [
+                (MergeMode::None, StrategyKind::Bfs),
+                (MergeMode::Static, StrategyKind::Topological),
+                (MergeMode::Dynamic, StrategyKind::Bfs),
+            ] {
+                let config =
+                    EngineConfig { merge_mode: mode, strategy, ..engine_config(Some(plan)) };
+                let program = by_name(workload).unwrap().program(&cfg);
+                let par = ParallelConfig { jobs, steps_per_round: 4, ..Default::default() };
+                let faulted = ParallelEngine::new(program, config, par).unwrap().run();
+                let who = format!("{workload} bsp {mode:?} jobs={jobs} {plan}");
+                assert_eq!(faulted.quarantined_states, 1, "{who}: the scheduled panic must fire");
+                assert!(faulted.stolen_states > 0, "{who}: the crash must move states out");
+                if mode == MergeMode::None {
+                    assert_equivalent(&who, &baseline, &faulted);
+                    continue;
+                }
+                assert!(!faulted.hit_budget, "{who}: faulted run must be exhaustive");
+                assert_eq!(faulted.leftover_states, 0, "{who}: faulted run left states behind");
+                assert_eq!(faulted.covered_blocks, baseline.covered_blocks, "{who}: coverage");
+                assert_eq!(verdicts(&faulted), verdicts(&baseline), "{who}: failure verdicts");
+                assert!(faulted.completed_paths <= baseline.completed_paths, "{who}: paths");
+                assert!(
+                    faulted.completed_multiplicity >= baseline.completed_paths as f64,
+                    "{who}: multiplicity {} lost paths (exact {})",
+                    faulted.completed_multiplicity,
+                    baseline.completed_paths
+                );
+            }
         }
     }
 }
