@@ -68,7 +68,7 @@ fn main() {
          ctx_evictions,clauses_resident,clauses_evicted,clauses_compacted,learnt_lits,\
          gates_reused,sched_picks,sched_heap_repairs,\
          shared_query_hits,shared_cex_hits,shared_publishes,\
-         solver_ms,sat_ms,cache_ms,route_ms,wall_ms,dropped_unknown",
+         solver_ms,sat_ms,cache_ms,route_ms,fork_ms,wall_ms,dropped_unknown",
     );
     println!("# ctx_stats: solver-context pool behaviour (exhaustive runs, tests on)");
     println!("# clauses res/evict: clause-weighted residency (final gauge / cumulative evicted)");
@@ -80,9 +80,10 @@ fn main() {
     println!("# incr: off rows re-blast every query (KLEE+STP scheme); their sliced queries");
     println!("#   are where the subset/superset counterexample tiers fire");
     println!("# solver time splits as sat + cache (tier bookkeeping, incl. mirror sync) +");
-    println!("#   route (context routing / blast prep / normalization) + residual upkeep");
+    println!("#   route (context routing / blast prep / normalization) + residual upkeep;");
+    println!("#   fork (compaction + snapshot copy at context forks) is a segment of route");
     println!(
-        "{:6} {:>6} {:>8} {:>10} {:>4} {:>4} {:>4} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>17} {:>20} {:>13} {:>13} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "{:6} {:>6} {:>8} {:>10} {:>4} {:>4} {:>4} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>17} {:>20} {:>13} {:>13} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "tool",
         "bytes",
         "mode",
@@ -104,6 +105,7 @@ fn main() {
         "sat",
         "cache",
         "route",
+        "fork",
         "wall"
     );
     let mut dropped_total = 0u64;
@@ -144,7 +146,7 @@ fn main() {
         let mode_label = format!("{mode:?}");
         println!(
             "{tool:6} {:>6} {mode_label:>8} {strat:>10} {jobs:>4} {shared_label:>4} {incr_label:>4} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {clauses:>17} \
-             {shrink:>20} {sched:>13} {shr:>13} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?}",
+             {shrink:>20} {sched:>13} {shr:>13} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?}",
             cfg.symbolic_bytes(),
             report.tests.len(),
             s.sat_calls,
@@ -156,10 +158,11 @@ fn main() {
             s.sat_time,
             s.cache_time,
             s.route_time,
+            s.fork_time,
             report.wall_time,
         );
         csv.row(&format!(
-            "{tool},{},{mode_label},{strat},{jobs},{shared_label},{incr_label},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{}",
+            "{tool},{},{mode_label},{strat},{jobs},{shared_label},{incr_label},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{}",
             cfg.symbolic_bytes(),
             report.tests.len(),
             s.sat_calls,
@@ -181,6 +184,7 @@ fn main() {
             s.sat_time.as_secs_f64() * 1e3,
             s.cache_time.as_secs_f64() * 1e3,
             s.route_time.as_secs_f64() * 1e3,
+            s.fork_time.as_secs_f64() * 1e3,
             report.wall_time.as_secs_f64() * 1e3,
             report.tests_dropped_unknown,
         ));

@@ -30,11 +30,15 @@ enum Bits {
 /// that keep extending the pool. The per-[`ExprId`] translation cache
 /// stays valid because pools are append-only: existing ids never change
 /// meaning.
-/// Cloning a blaster snapshots the CNF and both caches; together with
+///
+/// Cloning a blaster snapshots the CNF and both caches. Inside a
+/// [`SolverContext`](crate::SolverContext) the CNF is only a pending
+/// buffer — every clause moves into the context's SAT solver as soon as
+/// it is blasted — so the clone copies the variable count, the gate memo
+/// and the translation caches, never the clauses. Together with
 /// [`SatSolver::fork`](crate::sat::SatSolver::fork) this is what makes a
-/// [`SolverContext`](crate::SolverContext) forkable — the clone keeps
-/// translating from where the original stood, without re-blasting any
-/// shared circuitry.
+/// context forkable: the clone keeps translating from where the original
+/// stood, without re-blasting any shared circuitry.
 #[derive(Debug, Clone)]
 pub struct BitBlaster {
     cnf: Cnf,
@@ -80,6 +84,11 @@ impl BitBlaster {
     /// The CNF built so far.
     pub fn cnf(&self) -> &Cnf {
         &self.cnf
+    }
+
+    /// The CNF, for a consumer that drains its clauses.
+    pub(crate) fn cnf_mut(&mut self) -> &mut Cnf {
+        &mut self.cnf
     }
 
     /// Consumes the blaster, returning the CNF.

@@ -99,10 +99,17 @@ const GATE_KEY_FILL: Lit = Lit(u32::MAX);
 /// duplicates. Operands are canonicalized first (commutative gates by
 /// operand order, xor/mux additionally by polarity), so e.g.
 /// `xor(a, b)`, `xor(b, a)` and `¬xor(¬a, b)` all share one gate.
+///
+/// Clauses are stored flat: one literal vector plus each clause's end
+/// offset. A [`SolverContext`](crate::SolverContext) drains them into its
+/// SAT solver after every blast and clears them, keeping the variables
+/// and the gate memo, so it never holds its formula twice.
 #[derive(Debug, Clone)]
 pub struct Cnf {
     num_vars: u32,
-    clauses: Vec<Vec<Lit>>,
+    lits: Vec<Lit>,
+    /// End offset in `lits` of each clause, in insertion order.
+    ends: Vec<u32>,
     share: bool,
     gate_memo: HashMap<GateKey, Lit>,
     gates_reused: u64,
@@ -120,7 +127,8 @@ impl Cnf {
     pub fn new() -> Self {
         let mut cnf = Cnf {
             num_vars: 1,
-            clauses: Vec::new(),
+            lits: Vec::new(),
+            ends: Vec::new(),
             share: true,
             gate_memo: HashMap::new(),
             gates_reused: 0,
@@ -184,25 +192,30 @@ impl Cnf {
         self.num_vars as usize
     }
 
-    /// The clauses added so far.
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
+    /// The clauses held, in insertion order.
+    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(s, &e)| &self.lits[s as usize..e as usize])
     }
 
-    /// The clauses added at or after index `from` — the delta an
-    /// incremental consumer has not yet fed into a solver.
-    pub fn clauses_from(&self, from: usize) -> &[Vec<Lit>] {
-        &self.clauses[from..]
-    }
-
-    /// Number of clauses.
+    /// Number of clauses held.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Adds a clause (a disjunction of literals).
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.clauses.push(lits.to_vec());
+        self.lits.extend_from_slice(lits);
+        let end = u32::try_from(self.lits.len()).expect("CNF exceeds u32 literal indexing");
+        self.ends.push(end);
+    }
+
+    /// Drops every held clause once a consumer has taken them, keeping
+    /// the variables and the gate memo: later gates still reuse the
+    /// circuitry those clauses defined.
+    pub(crate) fn clear_clauses(&mut self) {
+        self.lits.clear();
+        self.ends.clear();
     }
 
     /// Asserts that a literal holds.

@@ -20,6 +20,12 @@
 //! scratch. The [`Solver`](crate::Solver) arranges contexts in a prefix
 //! tree and decides per divergence whether to fork or to move the
 //! context down the path (see `solve.rs`).
+//!
+//! A context stores each clause once, in its SAT solver's flat clause
+//! arena: the blaster's CNF is only a pending buffer that every query
+//! drains. A fork therefore copies the solver's flat vectors plus the
+//! blaster's gate memo and translation caches — its cost grows with the
+//! size of those vectors, not with one allocation per clause.
 
 use crate::bitblast::BitBlaster;
 use crate::cnf::Lit;
@@ -33,7 +39,6 @@ use symmerge_expr::{ExprId, ExprPool, SymbolId};
 pub struct SolverContext {
     blaster: BitBlaster,
     sat: SatSolver,
-    clauses_fed: usize,
     prefix: Vec<ExprId>,
     /// The *normalized* view of `prefix` — sorted, deduplicated, with
     /// constant-`true` conjuncts dropped — maintained incrementally as
@@ -84,14 +89,13 @@ impl SolverContext {
     /// off sides survive as the reference the shrink property suite
     /// compares against.
     pub fn with_options(sat_ccmin: bool, ite_factor: bool) -> Self {
-        let blaster = BitBlaster::with_ite_factor(ite_factor);
+        let mut blaster = BitBlaster::with_ite_factor(ite_factor);
         let mut sat = SatSolver::from_cnf(blaster.cnf());
+        blaster.cnf_mut().clear_clauses();
         sat.set_ccmin(sat_ccmin);
-        let clauses_fed = blaster.cnf().num_clauses();
         SolverContext {
             blaster,
             sat,
-            clauses_fed,
             prefix: Vec::new(),
             norm_set: Vec::new(),
             norm_hash: 0,
@@ -110,19 +114,24 @@ impl SolverContext {
     /// costs only the *new* conjuncts; the shared prefix is never
     /// re-blasted.
     ///
+    /// The copy is the SAT solver's fixed set of flat vectors
+    /// ([`SatSolver::fork`]) plus the blaster's gate memo and translation
+    /// caches; the clauses themselves exist once, in the solver, so none
+    /// is copied or allocated on its own.
+    ///
     /// Before snapshotting, the clause database is compacted
     /// ([`SatSolver::compact_learnts`]: a level-0 satisfied-clause sweep
     /// over the *whole* DB — original Tseitin clauses included — plus
-    /// self-subsumption over the learnt store), so parent and fork both
-    /// carry the smaller DB — the clause-weighted residency a warm fork
-    /// charges drops with it. The work is observable through
+    /// self-subsumption over the learnt store, then packing the clause
+    /// arena and watch pool), so parent and fork both carry the smaller
+    /// DB — the clause-weighted residency a warm fork charges drops with
+    /// it. The work is observable through
     /// [`SolverContext::clauses_compacted`].
     pub fn fork(&mut self) -> SolverContext {
         self.compacted += self.sat.compact_learnts();
         SolverContext {
             blaster: self.blaster.clone(),
             sat: self.sat.fork(),
-            clauses_fed: self.clauses_fed,
             prefix: self.prefix.clone(),
             norm_set: self.norm_set.clone(),
             norm_hash: self.norm_hash,
@@ -248,13 +257,15 @@ impl SolverContext {
         self.sat.solve_under_assumptions(&lits)
     }
 
-    /// Feeds newly blasted variables and clauses into the SAT solver.
+    /// Moves newly blasted variables and clauses into the SAT solver,
+    /// leaving the blaster's CNF empty.
     fn sync(&mut self) {
-        self.sat.ensure_vars(self.blaster.cnf().num_vars());
-        for clause in self.blaster.cnf().clauses_from(self.clauses_fed) {
+        let cnf = self.blaster.cnf_mut();
+        self.sat.ensure_vars(cnf.num_vars());
+        for clause in cnf.clauses() {
             self.sat.add_clause(clause);
         }
-        self.clauses_fed = self.blaster.cnf().num_clauses();
+        cnf.clear_clauses();
     }
 
     /// Extracts a model restricted to `syms` from a sat outcome.

@@ -43,22 +43,170 @@ pub struct SatStats {
     pub learnt_lits: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
+/// Fixed-size clause header. A clause's literals live in the solver's
+/// literal arena at `start..start + len`; clause refs (`u32`) index the
+/// header vector, and a header never changes slot, so refs held by watch
+/// lists and reasons stay valid however the arena is compacted.
+#[derive(Debug, Clone, Copy)]
+struct ClauseHeader {
+    start: u32,
+    /// Literal count in the low bits, plus the [`LEARNT`] and
+    /// [`DELETED`] flags.
+    len_flags: u32,
     activity: f64,
+}
+
+const LEARNT: u32 = 1 << 31;
+const DELETED: u32 = 1 << 30;
+const LEN_MASK: u32 = DELETED - 1;
+
+impl ClauseHeader {
+    fn len(self) -> usize {
+        (self.len_flags & LEN_MASK) as usize
+    }
+
+    fn learnt(self) -> bool {
+        self.len_flags & LEARNT != 0
+    }
+
+    fn deleted(self) -> bool {
+        self.len_flags & DELETED != 0
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len()
+    }
+
+    fn set_len(&mut self, len: usize) {
+        self.len_flags = (self.len_flags & !LEN_MASK) | len as u32;
+    }
+}
+
+/// One literal's watch list: a `(start, len, cap)` segment of the shared
+/// watch pool.
+#[derive(Debug, Clone, Copy, Default)]
+struct WatchSeg {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Every literal's watch list in one `u32` pool (indexed by
+/// [`Lit::code`]). A list that outgrows its segment moves to the end of
+/// the pool and leaves its old segment behind as waste, which
+/// [`WatchLists::pack`] and [`WatchLists::rebuild`] reclaim. Entry order
+/// within a list is exactly the order the entries were pushed or kept.
+#[derive(Debug, Clone, Default)]
+struct WatchLists {
+    segs: Vec<WatchSeg>,
+    pool: Vec<u32>,
+    /// Pool slots no segment owns any more.
+    waste: usize,
+}
+
+impl WatchLists {
+    fn add_literal(&mut self) {
+        let start = to_u32(self.pool.len());
+        self.segs.push(WatchSeg { start, len: 0, cap: 0 });
+    }
+
+    #[cfg(test)]
+    fn list(&self, code: usize) -> &[u32] {
+        let s = self.segs[code];
+        &self.pool[s.start as usize..(s.start + s.len) as usize]
+    }
+
+    fn push(&mut self, code: usize, cref: u32) {
+        let mut s = self.segs[code];
+        if s.len == s.cap {
+            let new_cap = (s.cap * 2).max(4);
+            if (s.start + s.cap) as usize == self.pool.len() {
+                // The last segment in the pool grows in place.
+                self.pool.resize((s.start + new_cap) as usize, 0);
+            } else {
+                let old = s.start as usize..(s.start + s.len) as usize;
+                let start = self.pool.len();
+                self.pool.extend_from_within(old);
+                self.pool.resize(start + new_cap as usize, 0);
+                self.waste += s.cap as usize;
+                s.start = to_u32(start);
+            }
+            s.cap = new_cap;
+        }
+        self.pool[(s.start + s.len) as usize] = cref;
+        s.len += 1;
+        self.segs[code] = s;
+    }
+
+    /// Rebuilds every list from the clause database: each live clause
+    /// (stored clauses have at least two literals) is watched by
+    /// `lits[0]` and `lits[1]`, and every list holds its clauses in ref
+    /// order. Segments are sized exactly, so the pool never outgrows the
+    /// lists it held before.
+    fn rebuild(&mut self, headers: &[ClauseHeader], arena: &[Lit]) {
+        let watched = || {
+            let live = headers.iter().enumerate().filter(|(_, h)| !h.deleted());
+            live.map(|(i, h)| (to_u32(i), arena[h.start as usize], arena[h.start as usize + 1]))
+        };
+        for s in &mut self.segs {
+            s.len = 0;
+        }
+        for (_, a, b) in watched() {
+            self.segs[a.code()].len += 1;
+            self.segs[b.code()].len += 1;
+        }
+        let mut offset = 0u32;
+        for s in &mut self.segs {
+            *s = WatchSeg { start: offset, len: 0, cap: s.len };
+            offset += s.cap;
+        }
+        self.pool.clear();
+        self.pool.resize(offset as usize, 0);
+        for (cref, a, b) in watched() {
+            for lit in [a, b] {
+                let s = &mut self.segs[lit.code()];
+                self.pool[(s.start + s.len) as usize] = cref;
+                s.len += 1;
+            }
+        }
+        self.waste = 0;
+    }
+
+    /// Packs every list into a fresh, exactly sized pool, keeping each
+    /// list's entries in order.
+    fn pack(&mut self) {
+        let mut pool = Vec::with_capacity(self.pool.len() - self.waste);
+        for s in &mut self.segs {
+            let start = to_u32(pool.len());
+            pool.extend_from_slice(&self.pool[s.start as usize..(s.start + s.len) as usize]);
+            *s = WatchSeg { start, len: s.len, cap: s.len };
+        }
+        self.pool = pool;
+        self.waste = 0;
+    }
+}
+
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("solver storage exceeds u32 indexing")
 }
 
 const UNASSIGNED: i8 = -1;
 
 /// A CDCL SAT solver over a fixed CNF.
+///
+/// The clause database is flat: one literal arena plus fixed-size
+/// headers, and one pool for all watch lists. Every field is a `Vec` of
+/// plain values, so [`SatSolver::fork`] is a fixed number of `Vec`
+/// copies whatever the clause and variable counts.
 #[derive(Debug, Clone)]
 pub struct SatSolver {
-    clauses: Vec<Clause>,
-    watches: Vec<Vec<u32>>, // indexed by Lit::code(); clause refs watching that literal
-    assigns: Vec<i8>,       // UNASSIGNED / 0 (false) / 1 (true)
+    headers: Vec<ClauseHeader>,
+    arena: Vec<Lit>,
+    /// Arena slots no live clause owns (deleted clauses, literals
+    /// stripped by strengthening), reclaimed by `pack_arena`.
+    arena_waste: usize,
+    watches: WatchLists,
+    assigns: Vec<i8>, // UNASSIGNED / 0 (false) / 1 (true)
     level: Vec<u32>,
     reason: Vec<Option<u32>>,
     trail: Vec<Lit>,
@@ -94,8 +242,10 @@ impl SatSolver {
     pub fn from_cnf(cnf: &Cnf) -> Self {
         let n = cnf.num_vars();
         let mut s = SatSolver {
-            clauses: Vec::with_capacity(cnf.num_clauses()),
-            watches: vec![Vec::new(); 2 * n],
+            headers: Vec::with_capacity(cnf.num_clauses()),
+            arena: Vec::new(),
+            arena_waste: 0,
+            watches: WatchLists { segs: vec![WatchSeg::default(); 2 * n], ..Default::default() },
             assigns: vec![UNASSIGNED; n],
             level: vec![0; n],
             reason: vec![None; n],
@@ -135,6 +285,12 @@ impl SatSolver {
     /// heap, saved phases, and the level-0 trail all carry over, so the
     /// fork resumes with the full heuristic state of the parent instead
     /// of relearning it.
+    ///
+    /// The copy is a fixed number of `Vec` memcpys: clauses live in one
+    /// literal arena behind fixed-size headers and the watch lists in one
+    /// pool, so no clause or list is allocated on its own. Callers that
+    /// fork repeatedly run [`SatSolver::compact_learnts`] first, which
+    /// also packs both pools so the copy carries no dead space.
     ///
     /// Forking is only meaningful between queries —
     /// [`SatSolver::solve_under_assumptions`] always backtracks to
@@ -178,7 +334,11 @@ impl SatSolver {
     /// by the original clause database (test hook: re-asserting its
     /// negation must be unsat even after minimization).
     pub fn learnt_clauses(&self) -> Vec<Vec<Lit>> {
-        self.clauses.iter().filter(|c| c.learnt && !c.deleted).map(|c| c.lits.clone()).collect()
+        self.headers
+            .iter()
+            .filter(|h| h.learnt() && !h.deleted())
+            .map(|h| self.arena[h.range()].to_vec())
+            .collect()
     }
 
     /// Work counters.
@@ -219,8 +379,8 @@ impl SatSolver {
     pub fn ensure_vars(&mut self, n: usize) {
         while self.assigns.len() < n {
             let v = self.assigns.len() as u32;
-            self.watches.push(Vec::new());
-            self.watches.push(Vec::new());
+            self.watches.add_literal();
+            self.watches.add_literal();
             self.assigns.push(UNASSIGNED);
             self.level.push(0);
             self.reason.push(None);
@@ -275,18 +435,26 @@ impl SatSolver {
                 }
             }
             _ => {
-                let cref = self.clauses.len() as u32;
-                self.watches[out[0].code()].push(cref);
-                self.watches[out[1].code()].push(cref);
-                self.clauses.push(Clause {
-                    lits: out,
-                    learnt: false,
-                    deleted: false,
-                    activity: 0.0,
-                });
-                self.live_clauses += 1;
+                self.store_clause(&out, false, 0.0);
             }
         }
+    }
+
+    /// Appends a clause of at least two literals to the arena and
+    /// watches its first two; returns its ref.
+    fn store_clause(&mut self, lits: &[Lit], learnt: bool, activity: f64) -> u32 {
+        let cref = to_u32(self.headers.len());
+        self.watches.push(lits[0].code(), cref);
+        self.watches.push(lits[1].code(), cref);
+        let start = to_u32(self.arena.len());
+        self.arena.extend_from_slice(lits);
+        let flags = if learnt { LEARNT } else { 0 };
+        self.headers.push(ClauseHeader { start, len_flags: to_u32(lits.len()) | flags, activity });
+        if learnt {
+            self.num_learnt += 1;
+        }
+        self.live_clauses += 1;
+        cref
     }
 
     fn enqueue(&mut self, l: Lit, reason: Option<u32>) {
@@ -305,32 +473,40 @@ impl SatSolver {
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
-            let ws = std::mem::take(&mut self.watches[false_lit.code()]);
-            let mut keep = Vec::with_capacity(ws.len());
+            // Walk the watch list in place (MiniSat's i/j scheme): `i`
+            // reads, `j` writes back the entries that stay. Pushes land
+            // on other literals' lists — a replacement watch is never
+            // false, `false_lit` is — so this segment never moves.
+            let seg = self.watches.segs[false_lit.code()];
+            let (base, n) = (seg.start as usize, seg.len as usize);
+            let (mut i, mut j) = (0, 0);
             let mut conflict = None;
-            let mut it = ws.into_iter();
-            for cref in it.by_ref() {
-                let ci = cref as usize;
-                if self.clauses[ci].deleted {
+            while i < n {
+                let cref = self.watches.pool[base + i];
+                i += 1;
+                let h = self.headers[cref as usize];
+                if h.deleted() {
                     continue;
                 }
+                let cs = h.start as usize;
                 // Ensure the falsified literal sits at position 1.
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if self.arena[cs] == false_lit {
+                    self.arena.swap(cs, cs + 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(self.arena[cs + 1], false_lit);
+                let first = self.arena[cs];
                 if self.value(first) == Some(true) {
-                    keep.push(cref);
+                    self.watches.pool[base + j] = cref;
+                    j += 1;
                     continue;
                 }
                 // Look for a replacement watch.
                 let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    let lk = self.clauses[ci].lits[k];
+                for k in cs + 2..cs + h.len() {
+                    let lk = self.arena[k];
                     if self.value(lk) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[lk.code()].push(cref);
+                        self.arena.swap(cs + 1, k);
+                        self.watches.push(lk.code(), cref);
                         moved = true;
                         break;
                     }
@@ -338,7 +514,8 @@ impl SatSolver {
                 if moved {
                     continue;
                 }
-                keep.push(cref);
+                self.watches.pool[base + j] = cref;
+                j += 1;
                 if self.value(first) == Some(false) {
                     conflict = Some(cref);
                     self.qhead = self.trail.len();
@@ -346,9 +523,9 @@ impl SatSolver {
                 }
                 self.enqueue(first, Some(cref));
             }
-            // Put back any watches we did not visit after a conflict.
-            keep.extend(it);
-            self.watches[false_lit.code()] = keep;
+            // Keep any watches we did not visit after a conflict.
+            self.watches.pool.copy_within(base + i..base + n, base + j);
+            self.watches.segs[false_lit.code()].len = to_u32(j + n - i);
             if conflict.is_some() {
                 return conflict;
             }
@@ -365,9 +542,10 @@ impl SatSolver {
             {
                 let ci = confl as usize;
                 self.bump_clause(ci);
-                let start = usize::from(p.is_some());
-                let lits = self.clauses[ci].lits.clone();
-                for &q in &lits[start..] {
+                let range = self.headers[ci].range();
+                let skip = usize::from(p.is_some());
+                for k in range.start + skip..range.end {
+                    let q = self.arena[k];
                     let v = q.var().index();
                     if !self.seen[v] && self.level[v] > 0 {
                         self.seen[v] = true;
@@ -456,8 +634,8 @@ impl SatSolver {
             let cref = self.reason[l.var().index()].expect("redundancy probe requires a reason");
             // Reason clauses keep their implied literal at position 0
             // (see `propagate`), so the antecedents are `lits[1..]`.
-            let lits = self.clauses[cref as usize].lits.clone();
-            for &q in &lits[1..] {
+            let range = self.headers[cref as usize].range();
+            for &q in &self.arena[range.start + 1..range.end] {
                 let v = q.var().index();
                 if self.seen[v] || self.level[v] == 0 {
                     continue;
@@ -506,14 +684,14 @@ impl SatSolver {
     }
 
     fn bump_clause(&mut self, ci: usize) {
-        if !self.clauses[ci].learnt {
+        if !self.headers[ci].learnt() {
             return;
         }
-        self.clauses[ci].activity += self.cla_inc;
-        if self.clauses[ci].activity > 1e20 {
-            for c in &mut self.clauses {
-                if c.learnt {
-                    c.activity *= 1e-20;
+        self.headers[ci].activity += self.cla_inc;
+        if self.headers[ci].activity > 1e20 {
+            for h in &mut self.headers {
+                if h.learnt() {
+                    h.activity *= 1e-20;
                 }
             }
             self.cla_inc *= 1e-20;
@@ -598,44 +776,35 @@ impl SatSolver {
         Some(top)
     }
 
-    // ----- learnt-clause database reduction -------------------------------
+    // ----- clause-database maintenance -------------------------------------
+
+    /// Whether clause `i` is the reason for its (true) first literal.
+    fn locked(&self, i: usize) -> bool {
+        let l0 = self.arena[self.headers[i].start as usize];
+        self.value(l0) == Some(true) && self.reason[l0.var().index()] == Some(i as u32)
+    }
 
     fn reduce_db(&mut self) {
         let mut cands: Vec<u32> = Vec::new();
-        for (i, c) in self.clauses.iter().enumerate() {
-            if !c.learnt || c.deleted || c.lits.len() <= 2 {
-                continue;
-            }
+        for (i, h) in self.headers.iter().enumerate() {
             // Locked clauses (currently a reason) must be kept.
-            let l0 = c.lits[0];
-            let locked =
-                self.value(l0) == Some(true) && self.reason[l0.var().index()] == Some(i as u32);
-            if !locked {
+            if h.learnt() && !h.deleted() && h.len() > 2 && !self.locked(i) {
                 cands.push(i as u32);
             }
         }
         cands.sort_by(|&a, &b| {
-            self.clauses[a as usize]
+            self.headers[a as usize]
                 .activity
-                .partial_cmp(&self.clauses[b as usize].activity)
+                .partial_cmp(&self.headers[b as usize].activity)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let to_remove = cands.len() / 2;
         for &cref in &cands[..to_remove] {
-            self.clauses[cref as usize].deleted = true;
-            self.num_learnt -= 1;
-            self.live_clauses -= 1;
+            self.delete_clause(cref as usize);
         }
+        self.pack_arena();
         // Rebuild the watch lists from scratch (watch invariant: positions 0, 1).
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for (i, c) in self.clauses.iter().enumerate() {
-            if !c.deleted && c.lits.len() >= 2 {
-                self.watches[c.lits[0].code()].push(i as u32);
-                self.watches[c.lits[1].code()].push(i as u32);
-            }
-        }
+        self.watches.rebuild(&self.headers, &self.arena);
     }
 
     /// Fork-time clause-DB compaction: a level-0 satisfied-clause sweep
@@ -643,9 +812,9 @@ impl SatSolver {
     /// the learnt store. Returns the number of clauses removed or
     /// strengthened.
     ///
-    /// Forked contexts clone the whole clause database, so every clause
-    /// the parent carries is paid again in each child (the PR 5 "bigger
-    /// warm DB" tax). Compacting just before the snapshot drops clauses
+    /// A fork copies the whole clause arena, so every clause the parent
+    /// carries is paid again in each child and in every later
+    /// propagation. Compacting just before the snapshot drops clauses
     /// already satisfied by level-0 facts, strips falsified literals,
     /// and applies self-subsumption (`C` strengthens `D` when
     /// `C ⊆ D ∪ {¬l}` for exactly one flipped literal `l` — `D` minus
@@ -655,17 +824,15 @@ impl SatSolver {
     /// and a merged prefix's satisfied clauses overwhelmingly live in
     /// the original CNF. Everything removed is redundant with the
     /// remaining database plus the trail, so verdicts are unchanged for
-    /// parent and fork alike. Must be called between queries (decision
+    /// parent and fork alike. Clauses are strengthened in place; the
+    /// literal arena and the watch pool are then packed, so the snapshot
+    /// copies no dead space. Must be called between queries (decision
     /// level 0).
     pub fn compact_learnts(&mut self) -> u64 {
         debug_assert_eq!(self.decision_level(), 0, "compact mid-query");
         if !self.ok {
             return 0;
         }
-        let locked = |s: &Self, i: usize| {
-            let l0 = s.clauses[i].lits[0];
-            s.value(l0) == Some(true) && s.reason[l0.var().index()] == Some(i as u32)
-        };
         let mut compacted = 0u64;
         let mut units: Vec<Lit> = Vec::new();
         // Pass 1: sweep against the level-0 trail — delete satisfied
@@ -675,135 +842,44 @@ impl SatSolver {
         // without new level-0 facts only the (small) learnt store can
         // have changed, so repeated forks of one parent stay cheap.
         let sweep_originals = self.trail.len() > self.compacted_trail;
-        for i in 0..self.clauses.len() {
-            let c = &self.clauses[i];
-            if c.deleted || (!c.learnt && !sweep_originals) || locked(self, i) {
+        for i in 0..self.headers.len() {
+            let h = self.headers[i];
+            if h.deleted() || (!h.learnt() && !sweep_originals) || self.locked(i) {
                 continue;
             }
             let mut satisfied = false;
-            let mut kept: Vec<Lit> = Vec::with_capacity(self.clauses[i].lits.len());
-            for &l in &self.clauses[i].lits {
+            let mut kept = 0;
+            for &l in &self.arena[h.range()] {
                 match self.value(l) {
                     Some(true) => {
                         satisfied = true;
                         break;
                     }
                     Some(false) => {}
-                    None => kept.push(l),
+                    None => kept += 1,
                 }
             }
             if satisfied {
                 self.delete_clause(i);
                 compacted += 1;
-            } else if kept.len() < self.clauses[i].lits.len() {
+            } else if kept < h.len() {
                 compacted += 1;
-                match kept.len() {
-                    0 => self.ok = false,
-                    1 => {
-                        units.push(kept[0]);
-                        self.delete_clause(i);
-                    }
-                    _ => self.clauses[i].lits = kept,
+                if kept == 0 {
+                    self.ok = false;
+                } else if self.retain_lits(i, |s, l| s.value(l).is_none()) == 1 {
+                    units.push(self.arena[h.start as usize]);
+                    self.delete_clause(i);
                 }
             }
         }
         self.compacted_trail = self.trail.len();
-        // Pass 2: bounded self-subsumption among the surviving learnt
-        // clauses, shortest subsumers first. Variable signatures reject
-        // most pairs in O(1); the exact check tolerates one flipped
-        // literal (self-subsumption) or zero (plain subsumption).
-        const SUBSUMER_MAX_LITS: usize = 8;
-        let mut check_budget: usize = 200_000;
-        let var_sig =
-            |lits: &[Lit]| lits.iter().fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64));
-        let mut refs: Vec<u32> = (0..self.clauses.len() as u32)
-            .filter(|&i| {
-                let c = &self.clauses[i as usize];
-                c.learnt && !c.deleted && !locked(self, i as usize)
-            })
-            .collect();
-        refs.sort_by_key(|&r| self.clauses[r as usize].lits.len());
-        let mut occ: std::collections::HashMap<usize, Vec<u32>> = std::collections::HashMap::new();
-        for &r in &refs {
-            for &l in &self.clauses[r as usize].lits {
-                occ.entry(l.var().index()).or_default().push(r);
-            }
-        }
-        for &cref in &refs {
-            if check_budget == 0 {
-                break;
-            }
-            let c = self.clauses[cref as usize].clone();
-            if c.deleted || c.lits.len() > SUBSUMER_MAX_LITS {
-                continue;
-            }
-            let csig = var_sig(&c.lits);
-            // Probe via the clause's rarest variable.
-            let probe = c
-                .lits
-                .iter()
-                .min_by_key(|l| occ.get(&l.var().index()).map_or(0, Vec::len))
-                .expect("stored clauses are non-empty")
-                .var()
-                .index();
-            let cands = occ.get(&probe).cloned().unwrap_or_default();
-            for dref in cands {
-                if dref == cref || check_budget == 0 {
-                    continue;
-                }
-                check_budget -= 1;
-                let d = &self.clauses[dref as usize];
-                if d.deleted || d.lits.len() < c.lits.len() || csig & !var_sig(&d.lits) != 0 {
-                    continue;
-                }
-                // C subsumes D if every C literal occurs in D; one
-                // polarity flip means D can drop the flipped literal.
-                let mut flipped: Option<Lit> = None;
-                let mut ok = true;
-                for &l in &c.lits {
-                    if d.lits.contains(&l) {
-                        continue;
-                    }
-                    if d.lits.contains(&!l) && flipped.is_none() {
-                        flipped = Some(!l);
-                    } else {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                match flipped {
-                    None => {
-                        self.delete_clause(dref as usize);
-                        compacted += 1;
-                    }
-                    Some(drop) => {
-                        let d = &mut self.clauses[dref as usize];
-                        d.lits.retain(|&l| l != drop);
-                        compacted += 1;
-                        if self.clauses[dref as usize].lits.len() == 1 {
-                            units.push(self.clauses[dref as usize].lits[0]);
-                            self.delete_clause(dref as usize);
-                        }
-                    }
-                }
-            }
-        }
+        compacted += self.subsume_learnts(&mut units);
         if compacted > 0 {
             // Strengthened clauses may have lost a watched literal:
             // rebuild the watch lists wholesale, as `reduce_db` does,
             // before any propagation touches them.
-            for w in &mut self.watches {
-                w.clear();
-            }
-            for (i, c) in self.clauses.iter().enumerate() {
-                if !c.deleted && c.lits.len() >= 2 {
-                    self.watches[c.lits[0].code()].push(i as u32);
-                    self.watches[c.lits[1].code()].push(i as u32);
-                }
-            }
+            self.pack_arena();
+            self.watches.rebuild(&self.headers, &self.arena);
             for l in units {
                 match self.value(l) {
                     Some(true) => {}
@@ -817,21 +893,175 @@ impl SatSolver {
                 }
             }
         }
+        if 2 * self.watches.waste > self.watches.pool.len() {
+            self.watches.pack();
+        }
         compacted
     }
 
-    /// Marks clause `i` deleted and frees its literal storage — forks
-    /// clone the clause vector, so a deleted clause that kept its
-    /// literals would keep paying for them in every descendant.
+    /// Pass 2 of [`SatSolver::compact_learnts`]: bounded
+    /// self-subsumption among the surviving learnt clauses, shortest
+    /// subsumers first. Variable signatures reject most pairs in O(1);
+    /// the exact check tolerates one flipped literal (self-subsumption)
+    /// or zero (plain subsumption). Clauses strengthened to a single
+    /// literal are deleted and their literal pushed onto `units`.
+    fn subsume_learnts(&mut self, units: &mut Vec<Lit>) -> u64 {
+        const SUBSUMER_MAX_LITS: usize = 8;
+        let mut check_budget: usize = 200_000;
+        let mut compacted = 0u64;
+        let var_sig =
+            |lits: &[Lit]| lits.iter().fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64));
+        let mut refs: Vec<u32> = (0..self.headers.len())
+            .filter(|&i| {
+                let h = self.headers[i];
+                h.learnt() && !h.deleted() && !self.locked(i)
+            })
+            .map(to_u32)
+            .collect();
+        if refs.is_empty() {
+            return 0;
+        }
+        refs.sort_by_key(|&r| self.headers[r as usize].len());
+        // Occurrence lists by variable, flattened: `occ[occ_start[v]..
+        // occ_start[v + 1]]` holds the refs mentioning `v`, in `refs`
+        // order.
+        let mut occ_start = vec![0u32; self.assigns.len() + 1];
+        for &r in &refs {
+            for l in &self.arena[self.headers[r as usize].range()] {
+                occ_start[l.var().index() + 1] += 1;
+            }
+        }
+        for v in 0..self.assigns.len() {
+            occ_start[v + 1] += occ_start[v];
+        }
+        let mut occ = vec![0u32; occ_start[self.assigns.len()] as usize];
+        let mut fill = occ_start.clone();
+        for &r in &refs {
+            for l in &self.arena[self.headers[r as usize].range()] {
+                let slot = &mut fill[l.var().index()];
+                occ[*slot as usize] = r;
+                *slot += 1;
+            }
+        }
+        let occurrences = |v: usize| &occ[occ_start[v] as usize..occ_start[v + 1] as usize];
+        let mut c_buf = [Lit(0); SUBSUMER_MAX_LITS];
+        for &cref in &refs {
+            if check_budget == 0 {
+                break;
+            }
+            let hc = self.headers[cref as usize];
+            if hc.deleted() || hc.len() > SUBSUMER_MAX_LITS {
+                continue;
+            }
+            let c = &mut c_buf[..hc.len()];
+            c.copy_from_slice(&self.arena[hc.range()]);
+            let c = &*c;
+            let csig = var_sig(c);
+            // Probe via the clause's rarest variable.
+            let probe = c
+                .iter()
+                .min_by_key(|l| occurrences(l.var().index()).len())
+                .expect("stored clauses are non-empty")
+                .var()
+                .index();
+            for &dref in occurrences(probe) {
+                if dref == cref || check_budget == 0 {
+                    continue;
+                }
+                check_budget -= 1;
+                let hd = self.headers[dref as usize];
+                if hd.deleted() || hd.len() < c.len() {
+                    continue;
+                }
+                let d = &self.arena[hd.range()];
+                if csig & !var_sig(d) != 0 {
+                    continue;
+                }
+                // C subsumes D if every C literal occurs in D; one
+                // polarity flip means D can drop the flipped literal.
+                let mut flipped: Option<Lit> = None;
+                let mut ok = true;
+                for &l in c {
+                    if d.contains(&l) {
+                        continue;
+                    }
+                    if d.contains(&!l) && flipped.is_none() {
+                        flipped = Some(!l);
+                    } else {
+                        ok = false;
+                        break;
+                    }
+                }
+                if !ok {
+                    continue;
+                }
+                compacted += 1;
+                match flipped {
+                    None => self.delete_clause(dref as usize),
+                    Some(drop) => {
+                        if self.retain_lits(dref as usize, |_, l| l != drop) == 1 {
+                            units.push(self.arena[hd.start as usize]);
+                            self.delete_clause(dref as usize);
+                        }
+                    }
+                }
+            }
+        }
+        compacted
+    }
+
+    /// Marks clause `i` deleted. Its header keeps its slot (refs never
+    /// move) and its literals become arena waste until the next
+    /// `pack_arena`.
     fn delete_clause(&mut self, i: usize) {
-        debug_assert!(!self.clauses[i].deleted);
-        if self.clauses[i].learnt {
+        let h = &mut self.headers[i];
+        debug_assert!(!h.deleted());
+        if h.learnt() {
             self.num_learnt -= 1;
         }
         self.live_clauses -= 1;
-        let c = &mut self.clauses[i];
-        c.deleted = true;
-        c.lits = Vec::new();
+        h.len_flags |= DELETED;
+        self.arena_waste += h.len();
+    }
+
+    /// Strengthens clause `i` in place: keeps the literals `keep`
+    /// accepts, in order, at the front of its range and returns the new
+    /// length. The freed tail becomes arena waste.
+    fn retain_lits(&mut self, i: usize, keep: impl Fn(&Self, Lit) -> bool) -> usize {
+        let range = self.headers[i].range();
+        let mut w = range.start;
+        for k in range.clone() {
+            let l = self.arena[k];
+            if keep(self, l) {
+                self.arena[w] = l;
+                w += 1;
+            }
+        }
+        self.arena_waste += range.end - w;
+        let len = w - range.start;
+        self.headers[i].set_len(len);
+        len
+    }
+
+    /// Reclaims arena waste by sliding every live clause's literals down
+    /// in ref order (arena order is ref order, so each slide moves left).
+    /// Deleted headers keep their slot with an empty range.
+    fn pack_arena(&mut self) {
+        let mut w = 0usize;
+        for h in &mut self.headers {
+            if h.deleted() {
+                h.start = to_u32(w);
+                h.set_len(0);
+                continue;
+            }
+            let r = h.range();
+            let len = r.len();
+            self.arena.copy_within(r, w);
+            h.start = to_u32(w);
+            w += len;
+        }
+        self.arena.truncate(w);
+        self.arena_waste = 0;
     }
 
     // ----- main loop -------------------------------------------------------
@@ -866,7 +1096,7 @@ impl SatSolver {
         let mut restart_idx: u64 = 0;
         let mut conflicts_until_restart = luby(restart_idx) * 100;
         let mut conflicts_this_restart: u64 = 0;
-        let mut max_learnt = (self.clauses.len() as f64 * 0.4).max(4000.0);
+        let mut max_learnt = (self.headers.len() as f64 * 0.4).max(4000.0);
         let outcome = 'search: loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
@@ -886,18 +1116,8 @@ impl SatSolver {
                 if learnt.len() == 1 {
                     self.enqueue(asserting, None);
                 } else {
-                    let cref = self.clauses.len() as u32;
-                    self.watches[learnt[0].code()].push(cref);
-                    self.watches[learnt[1].code()].push(cref);
                     self.stats.learnt_lits += learnt.len() as u64;
-                    self.clauses.push(Clause {
-                        lits: learnt,
-                        learnt: true,
-                        deleted: false,
-                        activity: self.cla_inc,
-                    });
-                    self.num_learnt += 1;
-                    self.live_clauses += 1;
+                    let cref = self.store_clause(&learnt, true, self.cla_inc);
                     self.stats.learnt += 1;
                     self.enqueue(asserting, Some(cref));
                 }
@@ -995,8 +1215,8 @@ impl SatSolver {
                     }
                 }
                 Some(cref) => {
-                    let lits = self.clauses[cref as usize].lits.clone();
-                    for &q in &lits[1..] {
+                    let range = self.headers[cref as usize].range();
+                    for &q in &self.arena[range.start + 1..range.end] {
                         if self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
@@ -1007,6 +1227,68 @@ impl SatSolver {
         }
         self.seen[p.var().index()] = false;
         out
+    }
+}
+
+#[cfg(test)]
+impl SatSolver {
+    /// Checks the arena and watch invariants (test hook, for use between
+    /// queries): clause ranges are disjoint, ascend in ref order and lie
+    /// inside the arena, whose length is the live literals plus the
+    /// recorded waste; the live and learnt counters match the headers;
+    /// watch segments are disjoint, lie inside the pool and, with the
+    /// recorded waste, account for all of it; every live clause is
+    /// watched exactly by its first two literals, and no entry points at
+    /// a deleted clause.
+    fn assert_invariants(&self) {
+        let (mut live, mut learnt, mut live_lits, mut next) = (0, 0, 0, 0);
+        for (i, h) in self.headers.iter().enumerate() {
+            assert!(h.start as usize >= next, "clause {i} overlaps or precedes its predecessor");
+            assert!(h.range().end <= self.arena.len(), "clause {i} runs past the arena");
+            next = h.range().end;
+            if h.deleted() {
+                continue;
+            }
+            assert!(h.len() >= 2, "stored clause {i} has {} literals", h.len());
+            live += 1;
+            learnt += usize::from(h.learnt());
+            live_lits += h.len();
+        }
+        assert_eq!(live, self.live_clauses, "live_clauses disagrees with the headers");
+        assert_eq!(learnt, self.num_learnt, "num_learnt disagrees with the headers");
+        assert_eq!(self.arena.len(), live_lits + self.arena_waste, "arena waste unaccounted");
+
+        let w = &self.watches;
+        assert_eq!(w.segs.len(), 2 * self.assigns.len(), "one watch list per literal");
+        let mut segs: Vec<WatchSeg> = w.segs.iter().copied().filter(|s| s.cap > 0).collect();
+        segs.sort_by_key(|s| s.start);
+        for pair in segs.windows(2) {
+            assert!(pair[0].start + pair[0].cap <= pair[1].start, "watch segments overlap");
+        }
+        for s in &w.segs {
+            assert!(s.len <= s.cap, "watch list longer than its segment");
+            assert!((s.start + s.cap) as usize <= w.pool.len(), "watch segment outside the pool");
+        }
+        let caps: usize = w.segs.iter().map(|s| s.cap as usize).sum();
+        assert_eq!(w.pool.len(), caps + w.waste, "watch pool waste unaccounted");
+
+        let mut watched_by: Vec<Vec<usize>> = vec![Vec::new(); self.headers.len()];
+        for code in 0..w.segs.len() {
+            for &cref in w.list(code) {
+                assert!(!self.headers[cref as usize].deleted(), "watch on deleted clause {cref}");
+                watched_by[cref as usize].push(code);
+            }
+        }
+        for (i, h) in self.headers.iter().enumerate() {
+            if h.deleted() {
+                continue;
+            }
+            let s = h.start as usize;
+            let mut want = vec![self.arena[s].code(), self.arena[s + 1].code()];
+            want.sort_unstable();
+            watched_by[i].sort_unstable();
+            assert_eq!(watched_by[i], want, "clause {i} not watched by exactly lits[0], lits[1]");
+        }
     }
 }
 
@@ -1140,16 +1422,42 @@ mod tests {
         assert_eq!(SatSolver::from_cnf(&cnf).solve(), SolveOutcome::Unsat);
     }
 
-    #[test]
-    fn random_3sat_cross_checked_with_brute_force() {
-        // Deterministic xorshift generator; no external dependency needed.
-        let mut seed: u64 = 0x9e3779b97f4a7c15;
-        let mut next = move || {
+    /// Deterministic xorshift generator; no external dependency needed.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
             seed
+        }
+    }
+
+    /// Brute-force reference: whether some assignment of variables
+    /// `1..=num_vars` satisfies every clause and every assumption
+    /// (DIMACS-style signed literals).
+    fn brute_force_sat(num_vars: usize, clauses: &[Vec<i32>], assumptions: &[i32]) -> bool {
+        // Each clause as (positive, negative) variable masks: `bits`
+        // satisfies it iff it sets a positive or clears a negative one.
+        let masks = |c: &[i32]| {
+            c.iter().fold((0u32, 0u32), |(pos, neg), &l| {
+                let bit = 1 << (l.unsigned_abs() - 1);
+                if l > 0 {
+                    (pos | bit, neg)
+                } else {
+                    (pos, neg | bit)
+                }
+            })
         };
+        let clauses: Vec<(u32, u32)> = clauses.iter().map(|c| masks(c)).collect();
+        let units: Vec<(u32, u32)> = assumptions.iter().map(|&l| masks(&[l])).collect();
+        (0u32..(1 << num_vars)).any(|bits| {
+            clauses.iter().chain(&units).all(|&(pos, neg)| bits & pos != 0 || !bits & neg != 0)
+        })
+    }
+
+    #[test]
+    fn random_3sat_cross_checked_with_brute_force() {
+        let mut next = xorshift(0x9e3779b97f4a7c15);
         for round in 0..60 {
             let num_vars = 4 + (next() % 9) as usize; // 4..=12
             let num_clauses = 3 + (next() % 40) as usize;
@@ -1166,25 +1474,7 @@ mod tests {
             }
             let refs: Vec<&[i32]> = spec.iter().map(|c| c.as_slice()).collect();
             let (cnf, _) = make(num_vars, &refs);
-            // Brute force reference.
-            let mut brute_sat = false;
-            'outer: for bits in 0u32..(1 << num_vars) {
-                for c in &spec {
-                    let ok = c.iter().any(|&l| {
-                        let val = bits >> (l.unsigned_abs() - 1) & 1 == 1;
-                        if l > 0 {
-                            val
-                        } else {
-                            !val
-                        }
-                    });
-                    if !ok {
-                        continue 'outer;
-                    }
-                }
-                brute_sat = true;
-                break;
-            }
+            let brute_sat = brute_force_sat(num_vars, &spec, &[]);
             match SatSolver::from_cnf(&cnf).solve() {
                 SolveOutcome::Sat(m) => {
                     assert!(brute_sat, "round {round}: solver sat, brute force unsat");
@@ -1196,6 +1486,125 @@ mod tests {
                 SolveOutcome::Unknown => panic!("no budget set, Unknown impossible"),
             }
         }
+    }
+
+    /// Solves `s` under `assumptions` and checks the verdict (and any
+    /// model) against the brute-force reference for `spec`.
+    fn cross_check(s: &mut SatSolver, num_vars: usize, spec: &[Vec<i32>], assumptions: &[i32]) {
+        let as_lit = |l: i32| Lit::new(Var(l.unsigned_abs()), l < 0);
+        let lits: Vec<Lit> = assumptions.iter().map(|&l| as_lit(l)).collect();
+        let expected = brute_force_sat(num_vars, spec, assumptions);
+        match s.solve_under_assumptions(&lits) {
+            SolveOutcome::Sat(m) => {
+                assert!(expected, "solver sat, brute force unsat: {spec:?} under {assumptions:?}");
+                let holds = |l: i32| m[l.unsigned_abs() as usize] == (l > 0);
+                assert!(assumptions.iter().all(|&l| holds(l)), "model breaks an assumption");
+                assert!(spec.iter().all(|c| c.iter().any(|&l| holds(l))), "model breaks a clause");
+            }
+            SolveOutcome::Unsat => {
+                assert!(!expected, "solver unsat, brute force sat: {spec:?} under {assumptions:?}");
+            }
+            SolveOutcome::Unknown => panic!("no budget set, Unknown impossible"),
+        }
+    }
+
+    /// Random 3-SAT driven through interleaved clause additions,
+    /// variable growth, assumption solves, compaction, learnt-DB
+    /// reduction and forks: the arena and watch invariants hold after
+    /// every step, and parent and fork verdicts both match brute force.
+    #[test]
+    fn arena_and_watch_invariants_hold_under_interleaved_operations() {
+        let mut next = xorshift(0x2545f4914f6cdd1d);
+        let (mut compacted, mut conflicts, mut reduced) = (0, 0, 0);
+        for _ in 0..120 {
+            let mut num_vars = 6 + (next() % 5) as usize; // 6..=10
+            let random_clause = |next: &mut dyn FnMut() -> u64, num_vars: usize| {
+                (0..1 + next() % 3)
+                    .map(|_| {
+                        let v = 1 + (next() % num_vars as u64) as i32;
+                        if next() & 1 == 0 {
+                            v
+                        } else {
+                            -v
+                        }
+                    })
+                    .collect::<Vec<i32>>()
+            };
+            // Just under the 3-SAT threshold (~4.3 clauses per
+            // variable), so solves under assumptions hit conflicts and
+            // learn clauses worth reducing.
+            let three = |next: &mut dyn FnMut() -> u64, num_vars: usize| {
+                let mut c = random_clause(next, num_vars);
+                while c.len() < 3 {
+                    c.extend(random_clause(next, num_vars));
+                }
+                c.truncate(3);
+                c
+            };
+            let mut spec: Vec<Vec<i32>> =
+                (0..7 * num_vars / 2).map(|_| three(&mut next, num_vars)).collect();
+            let mut cnf = Cnf::new();
+            for _ in 0..num_vars {
+                cnf.new_var();
+            }
+            let as_lit = |l: i32| Lit::new(Var(l.unsigned_abs()), l < 0);
+            for c in &spec {
+                cnf.add_clause(&c.iter().map(|&l| as_lit(l)).collect::<Vec<_>>());
+            }
+            let mut s = SatSolver::from_cnf(&cnf);
+            s.assert_invariants();
+            for step in 0..40 {
+                match next() % 6 {
+                    0 => {
+                        let c = three(&mut next, num_vars);
+                        s.add_clause(&c.iter().map(|&l| as_lit(l)).collect::<Vec<_>>());
+                        spec.push(c);
+                    }
+                    1 | 2 => {
+                        let mut assumptions = random_clause(&mut next, num_vars);
+                        assumptions.truncate(next() as usize % 4);
+                        cross_check(&mut s, num_vars, &spec, &assumptions);
+                    }
+                    3 => {
+                        compacted += s.compact_learnts();
+                    }
+                    4 => {
+                        let before = s.num_learnt;
+                        s.reduce_db();
+                        reduced += before - s.num_learnt;
+                        if num_vars < 12 {
+                            num_vars += 1;
+                            s.ensure_vars(num_vars + 1);
+                        }
+                    }
+                    _ => {
+                        compacted += s.compact_learnts();
+                        let mut child = s.fork();
+                        child.assert_invariants();
+                        // Diverge: the child gets one more clause.
+                        let c = random_clause(&mut next, num_vars);
+                        child.add_clause(&c.iter().map(|&l| as_lit(l)).collect::<Vec<_>>());
+                        let mut child_spec = spec.clone();
+                        child_spec.push(c);
+                        let mut assumptions = random_clause(&mut next, num_vars);
+                        assumptions.truncate(next() as usize % 3);
+                        cross_check(&mut child, num_vars, &child_spec, &assumptions);
+                        cross_check(&mut s, num_vars, &spec, &assumptions);
+                        child.assert_invariants();
+                        if next() & 1 == 0 {
+                            (s, spec) = (child, child_spec);
+                        }
+                    }
+                }
+                s.assert_invariants();
+                if step % 10 == 9 {
+                    cross_check(&mut s, num_vars, &spec, &[]);
+                }
+            }
+            conflicts += s.stats().conflicts;
+        }
+        // The walk must reach the paths it is meant to check.
+        assert!(compacted > 0 && conflicts > 0 && reduced > 0, "{compacted} {conflicts} {reduced}");
     }
 
     #[test]

@@ -208,10 +208,14 @@ impl Default for SolverConfig {
             // `max_context_clauses`.
             max_contexts: 64,
             // Measured on `wc`@Random stdin 6 (`ctx_stats`): the whole
-            // live frontier's contexts fit in ~1M clauses (~tens of MB),
-            // which eliminates the forks≈evictions churn of the fixed
-            // 64-slot capacity while keeping residency bounded on
-            // deeper runs.
+            // live frontier's contexts fit in ~1M clauses, which
+            // eliminates the forks≈evictions churn of the fixed 64-slot
+            // capacity while keeping residency bounded on deeper runs.
+            // Peak RSS of that exploration (the `search-wc6` benchmark
+            // workload) at this budget: ~500 MiB when every clause and
+            // watch list was its own allocation and the blaster kept a
+            // second copy of the CNF, ~215 MiB with the flat clause
+            // arena and watch pool.
             max_context_clauses: 1_000_000,
             cex_capacity: 256,
             shared_cache: true,
@@ -293,6 +297,11 @@ pub struct SolverStats {
     /// Splitting this out closes the PR 6 attribution gap where the
     /// routing remainder could only be inferred by subtraction.
     pub route_time: Duration,
+    /// Cumulative time spent forking contexts at divergences: fork-time
+    /// compaction plus the snapshot copy (`SolverContext::fork`). A
+    /// segment of `route_time`, not a disjoint term, so
+    /// `route_time >= fork_time` always holds.
+    pub fork_time: Duration,
     /// Cumulative SAT conflicts.
     pub conflicts: u64,
     /// Cumulative SAT decisions.
@@ -378,6 +387,7 @@ impl SolverStats {
         self.sat_time += other.sat_time;
         self.cache_time += other.cache_time;
         self.route_time += other.route_time;
+        self.fork_time += other.fork_time;
         self.conflicts += other.conflicts;
         self.decisions += other.decisions;
         self.propagations += other.propagations;
@@ -1547,7 +1557,9 @@ impl Solver {
         prefix: &[ExprId],
         prefound: Option<(Option<usize>, usize)>,
     ) -> usize {
-        self.context_node_for_inner(pool, prefix, None, prefound)
+        let (node, fork_time) = self.context_node_for_inner(pool, prefix, None, prefound);
+        self.stats.fork_time += fork_time;
+        node
     }
 
     /// [`Solver::context_node_for`] with an optional set of prefixes to
@@ -1556,14 +1568,18 @@ impl Solver {
     /// batch, which carry no `sat_extras` (the evidence stayed on the
     /// donor worker) but are known upfront to serve multiple children.
     /// (Keyed by prefix, not node index: mid-batch eviction can prune a
-    /// node and recycle its index for an unrelated path.)
+    /// node and recycle its index for an unrelated path.) Also returns
+    /// the time spent forking, which only the query path charges to
+    /// `fork_time`: prewarming runs outside any query, so outside
+    /// `route_time`.
     fn context_node_for_inner(
         &mut self,
         pool: &ExprPool,
         prefix: &[ExprId],
         force_fork: Option<&std::collections::HashSet<&[ExprId]>>,
         prefound: Option<(Option<usize>, usize)>,
-    ) -> usize {
+    ) -> (usize, Duration) {
+        let mut fork_time = Duration::ZERO;
         self.ctx_clock += 1;
         let clock = self.ctx_clock;
         let (found, matched) = prefound.unwrap_or_else(|| self.tree.lookup(prefix));
@@ -1589,7 +1605,9 @@ impl Solver {
                     let parent = self.tree.ctx_mut(n);
                     parent.sat_extras.retain(|&e| e != first);
                     let compacted_before = parent.clauses_compacted();
+                    let fork_start = Instant::now();
                     let child = parent.fork();
+                    fork_time = fork_start.elapsed();
                     self.stats.ctx_clauses_compacted +=
                         parent.clauses_compacted() - compacted_before;
                     child
@@ -1621,7 +1639,7 @@ impl Solver {
         self.tree.touch(node, clock);
         self.last_affinity = clock;
         self.stats.ctx_clauses_resident = self.tree.resident_clauses;
-        node
+        (node, fork_time)
     }
 
     /// Decides `prefix ∧ extra` on a tree incremental context.
@@ -1783,7 +1801,7 @@ impl Solver {
         trunks.dedup();
         let trunk_set: std::collections::HashSet<&[ExprId]> = trunks.iter().copied().collect();
         for p in &trunks {
-            self.context_node_for_inner(pool, p, Some(&trunk_set), None);
+            let _ = self.context_node_for_inner(pool, p, Some(&trunk_set), None);
         }
         // Seed sibling evidence: each state's first conjunct beyond its
         // deepest resident ancestor is a child that will come back — the
@@ -2336,6 +2354,8 @@ mod tests {
         assert!(s.check_assuming(&p, &[pre, c], d).is_sat());
         assert_eq!(s.stats().ctx_forks, 1);
         assert_eq!(s.stats().ctx_rebuilds, 1);
+        assert!(s.stats().fork_time > Duration::ZERO, "the fork is timed");
+        assert!(s.stats().route_time >= s.stats().fork_time, "inside route_time");
         // Child 2 finds the warm parent and takes it over (no sibling
         // evidence remains, so no second fork and *no rebuild* — the
         // re-blast the flat pool used to pay here).
@@ -2749,6 +2769,7 @@ mod tests {
             st.route_time > std::time::Duration::ZERO,
             "queries that reached a solving path must have accrued routing time"
         );
+        assert!(st.route_time >= st.fork_time, "fork_time is a segment of route_time");
     }
 
     #[test]
