@@ -56,11 +56,8 @@ fn bench_solver(c: &mut Criterion) {
                 (pool, cs)
             },
             |(pool, cs)| {
-                let mut solver = Solver::new(SolverConfig {
-                    use_cache: false,
-                    use_model_reuse: false,
-                    ..Default::default()
-                });
+                let mut solver =
+                    Solver::new(SolverConfig { use_cache: false, ..Default::default() });
                 black_box(solver.check(&pool, &cs))
             },
             criterion::BatchSize::SmallInput,
@@ -75,11 +72,8 @@ fn bench_solver(c: &mut Criterion) {
                 (pool, cs)
             },
             |(pool, cs)| {
-                let mut solver = Solver::new(SolverConfig {
-                    use_cache: false,
-                    use_model_reuse: false,
-                    ..Default::default()
-                });
+                let mut solver =
+                    Solver::new(SolverConfig { use_cache: false, ..Default::default() });
                 black_box(solver.check(&pool, &cs))
             },
             criterion::BatchSize::SmallInput,
@@ -91,11 +85,7 @@ fn bench_solver(c: &mut Criterion) {
         group.bench_function(format!("repeat_query_{label}"), |bch| {
             let mut pool = ExprPool::new(16);
             let cs = parsing_pc(&mut pool, 6);
-            let mut solver = Solver::new(SolverConfig {
-                use_cache: cache,
-                use_model_reuse: cache,
-                ..Default::default()
-            });
+            let mut solver = Solver::new(SolverConfig { use_cache: cache, ..Default::default() });
             bch.iter(|| black_box(solver.check(&pool, &cs)))
         });
     }
@@ -127,8 +117,6 @@ fn bench_solver(c: &mut Criterion) {
                 |(pool, prefix, extras)| {
                     let mut solver = Solver::new(SolverConfig {
                         use_cache: false,
-                        use_model_reuse: false,
-                        use_cex_cache: false,
                         use_independence: false,
                         use_incremental: inc,
                         ..Default::default()
@@ -165,8 +153,6 @@ fn bench_solver(c: &mut Criterion) {
             |(pool, prefix, levels)| {
                 let mut solver = Solver::new(SolverConfig {
                     use_cache: false,
-                    use_model_reuse: false,
-                    use_cex_cache: false,
                     use_independence: false,
                     use_incremental: true,
                     ..Default::default()
@@ -219,7 +205,6 @@ fn bench_solver(c: &mut Criterion) {
                 |(pool, cs)| {
                     let mut solver = Solver::new(SolverConfig {
                         use_cache: false,
-                        use_model_reuse: false,
                         use_independence: slicing,
                         ..Default::default()
                     });

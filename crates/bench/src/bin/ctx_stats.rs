@@ -16,7 +16,7 @@
 //!
 //! The run starts from the configuration the `SYMMERGE_*` environment
 //! selects (`symmerge_core::env`), so `SYMMERGE_MAX_CTX_CLAUSES` probes
-//! the clause budget and the `SYMMERGE_SOLVER_*` oracles ablate tiers.
+//! the clause budget and the `SYMMERGE_SOLVER_*` oracles ablate paths.
 
 use symmerge_bench::env_configs;
 use symmerge_bench::harness::{CsvOut, HarnessOpts};
@@ -34,11 +34,9 @@ fn main() {
     // solver-cache fabric off vs on — the hit-rate data behind the
     // EXPERIMENTS.md shared-cache table (jobs = 1 rows never attach the
     // fabric, so the shared flag is moot there). The `incr = off` rows
-    // re-blast every query (the paper's KLEE + STP scheme): that path
-    // slices each query by independent input groups, and unsat slices
-    // are exactly the subset structure the counterexample tiers refute —
-    // the incremental free-mode rows can't show cex hits because their
-    // queries are feasible-prefix-only and monotonically growing.
+    // re-blast every query (the paper's KLEE + STP scheme, sliced by
+    // independent input groups): the shared-cache hit rate of the
+    // differential oracle's solving path beside the incremental one.
     type Row = (&'static str, InputConfig, MergeMode, StrategyKind, u32, bool, bool);
     let wc = |n| InputConfig { n_args: 0, arg_len: 1, stdin_len: n };
     let sweeps: Vec<Row> = vec![
@@ -67,7 +65,7 @@ fn main() {
         "tool,symbolic_bytes,mode,strategy,jobs,shared,incremental,tests,sat_calls,ctx_hits,ctx_rebuilds,ctx_forks,\
          ctx_evictions,clauses_resident,clauses_evicted,clauses_compacted,learnt_lits,\
          gates_reused,sched_picks,sched_heap_repairs,\
-         shared_query_hits,shared_cex_hits,shared_publishes,\
+         shared_query_hits,shared_publishes,\
          solver_ms,sat_ms,cache_ms,route_ms,fork_ms,wall_ms,dropped_unknown",
     );
     println!("# ctx_stats: solver-context pool behaviour (exhaustive runs, tests on)");
@@ -75,11 +73,10 @@ fn main() {
     println!("# shrink ll/gr/cc: learnt lits stored (post-ccmin) / blaster gates reused /");
     println!("#   clauses compacted at fork (the query-shrinking observables)");
     println!("# sched p/r: ranked scheduler picks / heap repairs (0 for O(1)-pick strategies)");
-    println!("# shr q/c/p: cross-worker shared-cache exact hits / cex hits / publications");
+    println!("# shr q/p: cross-worker shared-cache exact hits / publications");
     println!("#   (nonzero only on jobs>1 rows with the fabric on)");
-    println!("# incr: off rows re-blast every query (KLEE+STP scheme); their sliced queries");
-    println!("#   are where the subset/superset counterexample tiers fire");
-    println!("# solver time splits as sat + cache (tier bookkeeping, incl. mirror sync) +");
+    println!("# incr: off rows re-blast every query (KLEE+STP scheme, sliced by input group)");
+    println!("# solver time splits as sat + cache (exact lookups, incl. mirror sync) +");
     println!("#   route (context routing / blast prep / normalization) + residual upkeep;");
     println!("#   fork (compaction + snapshot copy at context forks) is a segment of route");
     println!(
@@ -100,7 +97,7 @@ fn main() {
         "clauses res/evict",
         "shrink ll/gr/cc",
         "sched p/r",
-        "shr q/c/p",
+        "shr q/p",
         "solver",
         "sat",
         "cache",
@@ -140,7 +137,7 @@ fn main() {
         let clauses = format!("{}/{}", s.ctx_clauses_resident, s.ctx_clauses_evicted);
         let shrink = format!("{}/{}/{}", s.learnt_lits, s.gates_reused, s.ctx_clauses_compacted);
         let sched = format!("{}/{}", report.sched_picks, report.sched_heap_repairs);
-        let shr = format!("{}/{}/{}", s.shared_query_hits, s.shared_cex_hits, s.shared_publishes);
+        let shr = format!("{}/{}", s.shared_query_hits, s.shared_publishes);
         let shared_label = if shared { "on" } else { "off" };
         let incr_label = if incremental { "on" } else { "off" };
         let mode_label = format!("{mode:?}");
@@ -162,7 +159,7 @@ fn main() {
             report.wall_time,
         );
         csv.row(&format!(
-            "{tool},{},{mode_label},{strat},{jobs},{shared_label},{incr_label},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{}",
+            "{tool},{},{mode_label},{strat},{jobs},{shared_label},{incr_label},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{}",
             cfg.symbolic_bytes(),
             report.tests.len(),
             s.sat_calls,
@@ -178,7 +175,6 @@ fn main() {
             report.sched_picks,
             report.sched_heap_repairs,
             s.shared_query_hits,
-            s.shared_cex_hits,
             s.shared_publishes,
             s.time.as_secs_f64() * 1e3,
             s.sat_time.as_secs_f64() * 1e3,

@@ -16,8 +16,7 @@
 //! cross-worker shared solver-cache fabric off and on
 //! (`SolverConfig::shared_cache`); runs generate canonical-model tests
 //! and every point is asserted byte-identical to the sequential
-//! reference cell, the same contract `tier_sweep` pins for the
-//! cache-tier axis. Runs start from the configuration the `SYMMERGE_*`
+//! reference cell. Runs start from the configuration the `SYMMERGE_*`
 //! environment selects (`symmerge_bench::env_configs`, through
 //! `config_for`); the scheduler and shared-cache axes are pinned per
 //! cell.
@@ -66,18 +65,18 @@ fn main() {
          sat_time_ms,cache_time_ms,route_time_ms,ctx_hits,ctx_rebuilds,ctx_forks,ctx_evictions,\
          clauses_resident,clauses_evicted,clauses_compacted,sched_picks,sched_heap_repairs,\
          steals,stolen_states,idle_waits,\
-         shared_query_hits,shared_cex_hits,shared_publishes,dropped_unknown",
+         shared_query_hits,shared_publishes,dropped_unknown",
     );
     println!("# parallel_scaling: exhaustive MergeMode::None exploration, bsp vs steal scheduler");
     println!(
         "# sat_calls/sat_time: fleet totals — inflation vs jobs=1 is cache loss from sharding"
     );
-    println!("# cache_time: fleet cache-tier bookkeeping; route_time: query routing/blast prep");
+    println!("# cache_time: fleet exact-cache bookkeeping; route_time: query routing/blast prep");
     println!("# ctx columns: fleet context-tree totals (hits/rebuilds/forks/evictions)");
     println!("# steal s/w/i: steal batches (steal only) / states moved between workers (both");
     println!("#   schedulers) / idle waits (steal only)");
-    println!("# shared axis: cross-worker solver-cache fabric off/on; shr q/c/p =");
-    println!("#   shared_query_hits/shared_cex_hits/shared_publishes (fleet totals); every");
+    println!("# shared axis: cross-worker solver-cache fabric off/on; shr q/p =");
+    println!("#   shared_query_hits/shared_publishes (fleet totals); every");
     println!("#   point's canonical tests are asserted byte-identical to the off/bsp/jobs=1 cell");
     println!(
         "{:10} {:>6} {:>6} {:>5} {:>4} {:>12} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>22} {:>14} {:>17} {:>15}",
@@ -97,7 +96,7 @@ fn main() {
         "ctx h/r/f/e",
         "steal s/w/i",
         "sched p/r",
-        "shr q/c/p"
+        "shr q/p"
     );
     let mut dropped_total = 0u64;
     for (tool, cfg) in sweeps {
@@ -166,10 +165,7 @@ fn main() {
                     let stealing =
                         format!("{}/{}/{}", report.steals, report.stolen_states, report.idle_waits);
                     let sched = format!("{}/{}", report.sched_picks, report.sched_heap_repairs);
-                    let shr = format!(
-                        "{}/{}/{}",
-                        s.shared_query_hits, s.shared_cex_hits, s.shared_publishes
-                    );
+                    let shr = format!("{}/{}", s.shared_query_hits, s.shared_publishes);
                     let shared_label = if shared { "on" } else { "off" };
                     println!(
                     "{tool:10} {:>6} {sched_label:>6} {jobs:>5} {shared_label:>4} {:>12.2?} {:>8.2}x {:>10} {:>10} {:>10} {:>10.2?} {:>10.2?} {:>10.2?} {ctx:>22} {stealing:>14} {sched:>17} {shr:>15}",
@@ -184,7 +180,7 @@ fn main() {
                     s.route_time
                 );
                     csv.row(&format!(
-                    "{tool},{},{sched_label},{jobs},{shared_label},{:.3},{:.3},{},{},{},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                    "{tool},{},{sched_label},{jobs},{shared_label},{:.3},{:.3},{},{},{},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                     cfg.symbolic_bytes(),
                     wall.as_secs_f64() * 1e3,
                     speedup,
@@ -207,7 +203,6 @@ fn main() {
                     report.stolen_states,
                     report.idle_waits,
                     s.shared_query_hits,
-                    s.shared_cex_hits,
                     s.shared_publishes,
                     report.tests_dropped_unknown
                 ));

@@ -41,7 +41,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use symmerge_expr::{
-    BoolBinOp, BvBinOp, CmpOp, DagExporter, ExprPool, PortableDag, PortableNode, PortableRef,
+    BoolBinOp, BvBinOp, CmpOp, DagExporter, ExprPool, PortableDag, PortableNode, PortableRef, Sort,
 };
 use symmerge_ir::{BlockId, FuncId, LocalId};
 
@@ -702,6 +702,90 @@ fn get_slot(c: &mut Cursor<'_>) -> Result<PortableSlot, String> {
     })
 }
 
+/// The sort of every node of `dag`, or an error naming the first node
+/// that [`PortableDag::import`] would panic on: a reference to itself,
+/// a later node or no node, a symbol index past the name table, a width
+/// outside `1..=64`, or operands the pool's constructors refuse.
+fn dag_sorts(dag: &PortableDag) -> Result<Vec<Sort>, String> {
+    let mut sorts: Vec<Sort> = Vec::with_capacity(dag.nodes.len());
+    for (i, node) in dag.nodes.iter().enumerate() {
+        let operand = |r: PortableRef| {
+            sorts.get(r as usize).copied().ok_or_else(|| format!("node {i}: bad reference {r}"))
+        };
+        let width = |w: u32| {
+            if (1..=64).contains(&w) {
+                Ok(Sort::Bv(w))
+            } else {
+                Err(format!("node {i}: width {w} out of range"))
+            }
+        };
+        let ill_sorted = || format!("node {i}: ill-sorted operands");
+        let sort = match *node {
+            PortableNode::BvConst { width: w, .. } => width(w)?,
+            PortableNode::BoolConst(_) => Sort::Bool,
+            PortableNode::Input { sym, width: w } => {
+                if sym as usize >= dag.symbols.len() {
+                    return Err(format!("node {i}: bad symbol index {sym}"));
+                }
+                width(w)?
+            }
+            PortableNode::Bv { lhs, rhs, .. } => match (operand(lhs)?, operand(rhs)?) {
+                (Sort::Bv(a), Sort::Bv(b)) if a == b => Sort::Bv(a),
+                _ => return Err(ill_sorted()),
+            },
+            PortableNode::Cmp { lhs, rhs, .. } => match (operand(lhs)?, operand(rhs)?) {
+                (Sort::Bv(a), Sort::Bv(b)) if a == b => Sort::Bool,
+                _ => return Err(ill_sorted()),
+            },
+            PortableNode::Not(e) => match operand(e)? {
+                Sort::Bool => Sort::Bool,
+                _ => return Err(ill_sorted()),
+            },
+            PortableNode::Bool { lhs, rhs, .. } => match (operand(lhs)?, operand(rhs)?) {
+                (Sort::Bool, Sort::Bool) => Sort::Bool,
+                _ => return Err(ill_sorted()),
+            },
+            PortableNode::Ite { cond, then, els } => {
+                match (operand(cond)?, operand(then)?, operand(els)?) {
+                    (Sort::Bool, t, e) if t == e => t,
+                    _ => return Err(ill_sorted()),
+                }
+            }
+        };
+        sorts.push(sort);
+    }
+    Ok(sorts)
+}
+
+/// Checks that every expression reference of a decoded state names a
+/// node of its dag (and that path-condition conjuncts are boolean), so
+/// [`PortableState::import`] cannot index out of bounds.
+fn check_state_refs(st: &PortableState) -> Result<(), String> {
+    let sorts = dag_sorts(&st.dag)?;
+    let sort_of = |r: PortableRef| {
+        sorts.get(r as usize).copied().ok_or_else(|| format!("bad node reference {r}"))
+    };
+    let slots = st.frames.iter().flat_map(|f| &f.locals).chain(&st.globals);
+    for r in slots.flat_map(slot_refs).chain(st.outputs.iter().copied()) {
+        sort_of(r)?;
+    }
+    for &r in &st.pc {
+        if sort_of(r)? != Sort::Bool {
+            return Err(format!("pc conjunct {r} is not boolean"));
+        }
+    }
+    Ok(())
+}
+
+/// The node references of one slot.
+fn slot_refs(slot: &PortableSlot) -> impl Iterator<Item = PortableRef> + '_ {
+    let cells: &[PortableRef] = match slot {
+        PortableSlot::Int(r) => std::slice::from_ref(r),
+        PortableSlot::Array(cells) => cells,
+    };
+    cells.iter().copied()
+}
+
 fn get_state(c: &mut Cursor<'_>) -> Result<PortableState, String> {
     let region = c.u32()?;
     let origin_shard = c.u32()?;
@@ -764,7 +848,7 @@ fn get_state(c: &mut Cursor<'_>) -> Result<PortableState, String> {
     }
     let ff = c.bool()?;
     let warm_len = c.u32()?;
-    Ok(PortableState {
+    let st = PortableState {
         region,
         origin_shard,
         origin_seq,
@@ -779,7 +863,9 @@ fn get_state(c: &mut Cursor<'_>) -> Result<PortableState, String> {
         history,
         ff,
         warm_len,
-    })
+    };
+    check_state_refs(&st)?;
+    Ok(st)
 }
 
 fn get_test(c: &mut Cursor<'_>) -> Result<TestCase, String> {
@@ -995,6 +1081,52 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(decode_checkpoint(&long).unwrap_err().contains("trailing"));
+    }
+
+    /// Each ill-formed frontier dag is refused at decode time: resuming
+    /// from one would panic inside `PortableDag::import` (on an index or
+    /// on a pool constructor's sort assertion). One fault per case,
+    /// written into `sample()`'s encoding.
+    #[test]
+    fn ill_formed_frontier_dags_are_refused() {
+        type Fault = fn(&mut PortableState);
+        let faults: [(&str, Fault); 16] = [
+            ("forward reference", |s| {
+                s.dag.nodes[2] = PortableNode::Bv { op: BvBinOp::Mul, lhs: 0, rhs: 7 }
+            }),
+            ("self reference", |s| s.dag.nodes[4] = PortableNode::Not(4)),
+            ("out-of-range reference", |s| s.dag.nodes[4] = PortableNode::Not(99)),
+            ("symbol index", |s| s.dag.nodes[8] = PortableNode::Input { sym: 2, width: 8 }),
+            ("zero width", |s| s.dag.nodes[8] = PortableNode::Input { sym: 1, width: 0 }),
+            ("wide constant", |s| s.dag.nodes[1] = PortableNode::BvConst { value: 7, width: 65 }),
+            ("slot reference", |s| s.frames[0].locals[1] = PortableSlot::Array(vec![1, 9])),
+            ("global reference", |s| s.globals[0] = PortableSlot::Int(9)),
+            ("pc reference", |s| s.pc[1] = 9),
+            ("output reference", |s| s.outputs[0] = 9),
+            ("bitvector negated", |s| s.dag.nodes[4] = PortableNode::Not(2)),
+            ("mixed-width comparison", |s| {
+                s.dag.nodes[3] = PortableNode::Cmp { op: CmpOp::Slt, lhs: 2, rhs: 8 }
+            }),
+            ("boolean arithmetic", |s| {
+                s.dag.nodes[2] = PortableNode::Bv { op: BvBinOp::Mul, lhs: 0, rhs: 6 }
+            }),
+            ("bitvector connective", |s| {
+                s.dag.nodes[5] = PortableNode::Bool { op: BoolBinOp::Or, lhs: 3, rhs: 1 }
+            }),
+            ("ite branches differ", |s| {
+                s.dag.nodes[7] = PortableNode::Ite { cond: 5, then: 1, els: 8 }
+            }),
+            ("bitvector pc", |s| s.pc[0] = 2),
+        ];
+        let good = encode_checkpoint(&sample());
+        assert!(decode_checkpoint(&good).is_ok());
+        for (what, fault) in faults {
+            let mut ck = sample();
+            fault(&mut ck.frontier[1]);
+            let bytes = encode_checkpoint(&ck);
+            assert_eq!(bytes.len(), good.len(), "{what}: a fault rewrites fields in place");
+            assert!(decode_checkpoint(&bytes).is_err(), "{what}: ill-formed dag accepted");
+        }
     }
 
     #[test]

@@ -12,11 +12,8 @@
 //! | variable | field | role |
 //! |---|---|---|
 //! | `SYMMERGE_SOLVER_CACHE` | [`SolverConfig::use_cache`] | oracle |
-//! | `SYMMERGE_SOLVER_MODEL_REUSE` | [`SolverConfig::use_model_reuse`] | oracle |
 //! | `SYMMERGE_SOLVER_INDEPENDENCE` | [`SolverConfig::use_independence`] | oracle |
-//! | `SYMMERGE_SOLVER_CEX_CACHE` | [`SolverConfig::use_cex_cache`] | oracle |
 //! | `SYMMERGE_SOLVER_INCREMENTAL` | [`SolverConfig::use_incremental`] | oracle |
-//! | `SYMMERGE_SOLVER_TIER_GATE` | [`SolverConfig::tier_gate`] | oracle |
 //! | `SYMMERGE_SOLVER_RETRY_LADDER` | [`SolverConfig::retry_ladder`] | oracle |
 //! | `SYMMERGE_SHARED_CACHE` | [`SolverConfig::shared_cache`] | oracle |
 //! | `SYMMERGE_SCHEDULER` | [`ParallelConfig::scheduler`] | oracle |
@@ -61,11 +58,8 @@ pub fn configs_from(
     let d = SolverConfig::default();
     let solver = SolverConfig {
         use_cache: flag(lookup, "SYMMERGE_SOLVER_CACHE", d.use_cache)?,
-        use_model_reuse: flag(lookup, "SYMMERGE_SOLVER_MODEL_REUSE", d.use_model_reuse)?,
         use_independence: flag(lookup, "SYMMERGE_SOLVER_INDEPENDENCE", d.use_independence)?,
-        use_cex_cache: flag(lookup, "SYMMERGE_SOLVER_CEX_CACHE", d.use_cex_cache)?,
         use_incremental: flag(lookup, "SYMMERGE_SOLVER_INCREMENTAL", d.use_incremental)?,
-        tier_gate: number(lookup, "SYMMERGE_SOLVER_TIER_GATE", d.tier_gate)?,
         retry_ladder: match lookup("SYMMERGE_SOLVER_RETRY_LADDER") {
             Some(v) => retry_ladder(&v)
                 .ok_or_else(|| invalid("SYMMERGE_SOLVER_RETRY_LADDER", &v, LADDER))?,
@@ -174,11 +168,8 @@ mod tests {
     fn every_kept_variable_lands_in_its_field() {
         let (e, p) = configs(&[
             ("SYMMERGE_SOLVER_CACHE", "0"),
-            ("SYMMERGE_SOLVER_MODEL_REUSE", "off"),
             ("SYMMERGE_SOLVER_INDEPENDENCE", "false"),
-            ("SYMMERGE_SOLVER_CEX_CACHE", "no"),
             ("SYMMERGE_SOLVER_INCREMENTAL", " 0 "),
-            ("SYMMERGE_SOLVER_TIER_GATE", "7"),
             ("SYMMERGE_SOLVER_RETRY_LADDER", "2, 8"),
             ("SYMMERGE_SHARED_CACHE", "0"),
             ("SYMMERGE_SCHEDULER", "steal"),
@@ -190,9 +181,8 @@ mod tests {
         ])
         .unwrap();
         let s = &e.solver;
-        assert!(!s.use_cache && !s.use_model_reuse && !s.use_independence);
-        assert!(!s.use_cex_cache && !s.use_incremental && !s.shared_cache);
-        assert_eq!(s.tier_gate, 7);
+        assert!(!s.use_cache && !s.use_independence);
+        assert!(!s.use_incremental && !s.shared_cache);
         assert_eq!(s.retry_ladder, vec![2, 8]);
         assert_eq!(s.max_context_clauses, 1234);
         assert_eq!(p.scheduler, SchedulerKind::Steal);
@@ -204,7 +194,7 @@ mod tests {
         assert_eq!(e.checkpoint, Some(CheckpointConfig { path: "out/run.ck".into(), every: 9 }));
         // The fields no variable reaches keep their defaults.
         let d = SolverConfig::default();
-        assert_eq!((s.max_contexts, s.cex_capacity), (d.max_contexts, d.cex_capacity));
+        assert_eq!(s.max_contexts, d.max_contexts);
         assert_eq!(p.jobs, ParallelConfig::default().jobs);
     }
 
@@ -248,16 +238,15 @@ mod tests {
     fn malformed_values_are_errors_naming_variable_and_value() {
         let cases = [
             ("SYMMERGE_SOLVER_CACHE", "of"),
-            ("SYMMERGE_SOLVER_MODEL_REUSE", ""),
+            ("SYMMERGE_SOLVER_CACHE", ""),
             ("SYMMERGE_SOLVER_INDEPENDENCE", "2"),
-            ("SYMMERGE_SOLVER_CEX_CACHE", "nope"),
             ("SYMMERGE_SOLVER_INCREMENTAL", "TRUE!"),
             ("SYMMERGE_SHARED_CACHE", "enabled"),
             ("SYMMERGE_PANIC_ISOLATION", "y"),
-            ("SYMMERGE_SOLVER_TIER_GATE", "-1"),
             ("SYMMERGE_SOLVER_RETRY_LADDER", "4,x"),
             ("SYMMERGE_MAX_CTX_CLAUSES", "1e6"),
             ("SYMMERGE_CHECKPOINT_EVERY", "often"),
+            ("SYMMERGE_CHECKPOINT_EVERY", "-1"),
             ("SYMMERGE_SCHEDULER", "stealing"),
             ("SYMMERGE_FAULT_PLAN", "panic=1"),
         ];

@@ -406,12 +406,7 @@ impl<'p> Substrate<'p> {
         Substrate {
             program,
             pool: SharedExprPool::new(program.width),
-            // The counterexample logs are append-only (no eviction —
-            // mirrors must never lose entries), so they get 4× the
-            // private per-worker capacity: the store serves the whole
-            // fleet, and refusing publications early would waste its
-            // best tier (the private caches FIFO-churn instead).
-            cache: SharedSolverCache::new(config.solver.cex_capacity.saturating_mul(4)),
+            cache: SharedSolverCache::new(),
             config,
         }
     }

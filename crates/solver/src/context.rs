@@ -39,14 +39,14 @@ use symmerge_expr::{ExprId, ExprPool, SymbolId};
 pub struct SolverContext {
     blaster: BitBlaster,
     sat: SatSolver,
-    prefix: Vec<ExprId>,
-    /// The *normalized* view of `prefix` — sorted, deduplicated, with
-    /// constant-`true` conjuncts dropped — maintained incrementally as
-    /// the prefix grows. A query on this context's exact prefix needs
-    /// the normalized set as its cache key; carrying it here turns the
-    /// per-query re-sort/re-hash of the full set into a binary insert
-    /// per *prefix extension* plus an O(1) hash update (the set hash is
-    /// a commutative per-element sum, see [`crate::solve::elem_hash`]).
+    /// The *normalized* view of the asserted prefix — sorted,
+    /// deduplicated, with constant-`true` conjuncts dropped — maintained
+    /// incrementally as the prefix grows. A query on this context's
+    /// exact prefix needs the normalized set as its cache key; carrying
+    /// it here turns the per-query re-sort/re-hash of the full set into
+    /// a binary insert per *prefix extension* plus an O(1) hash update
+    /// (the set hash is a commutative per-element sum, see
+    /// [`crate::solve::elem_hash`]).
     pub(crate) norm_set: Vec<ExprId>,
     /// Commutative hash of `norm_set` (sum of per-element hashes).
     pub(crate) norm_hash: u64,
@@ -96,7 +96,6 @@ impl SolverContext {
         SolverContext {
             blaster,
             sat,
-            prefix: Vec::new(),
             norm_set: Vec::new(),
             norm_hash: 0,
             norm_false: false,
@@ -132,7 +131,6 @@ impl SolverContext {
         SolverContext {
             blaster: self.blaster.clone(),
             sat: self.sat.fork(),
-            prefix: self.prefix.clone(),
             norm_set: self.norm_set.clone(),
             norm_hash: self.norm_hash,
             norm_false: self.norm_false,
@@ -146,11 +144,6 @@ impl SolverContext {
     /// compaction on *this* context (forks start at zero).
     pub fn clauses_compacted(&self) -> u64 {
         self.compacted
-    }
-
-    /// The constraints permanently asserted so far, in assertion order.
-    pub fn prefix(&self) -> &[ExprId] {
-        &self.prefix
     }
 
     /// Whether the asserted prefix is already known unsatisfiable (every
@@ -195,14 +188,13 @@ impl SolverContext {
     }
 
     /// Permanently asserts `c`, extending the prefix. Constant-`true`
-    /// conjuncts are recorded in the prefix but add no clauses. Extending
+    /// conjuncts add no clauses. Extending
     /// the prefix invalidates the sibling evidence (`sat_extras`
     /// describes the *previous* prefix), so it is cleared.
     pub fn assert_constraint(&mut self, pool: &ExprPool, c: ExprId) {
         let lit = self.blaster.blast_bool(pool, c);
         self.sync();
         self.sat.add_clause(&[lit]);
-        self.prefix.push(c);
         // Keep the carried normalized view in step: O(log n) search plus
         // an ordered insert per extension, instead of a full re-sort of
         // the set on every later query.
@@ -468,7 +460,7 @@ mod tests {
         parent.assert_constraint(&p, shared);
         // Fork, then send the two copies down contradictory branches.
         let mut child = parent.fork();
-        assert_eq!(child.prefix(), parent.prefix());
+        assert_eq!(child.norm_set, parent.norm_set);
         child.assert_constraint(&p, low);
         parent.assert_constraint(&p, high);
         assert!(matches!(child.solve_assuming(&p, &[high], None), SolveOutcome::Unsat));

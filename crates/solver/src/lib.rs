@@ -15,12 +15,9 @@
 //! over the raw bit-blast pipeline:
 //!
 //! * an **exact-match result cache** keyed on the full constraint set
-//!   (hash-bucketed with key verification, so collisions cannot alias);
-//! * **model reuse**: recent satisfying models are re-evaluated on new
-//!   queries (the cheap half of KLEE's counterexample cache);
-//! * a **counterexample cache** with subset/superset reasoning: stored
-//!   unsat cores refute superset queries, stored sat sets donate their
-//!   model to subset queries;
+//!   (hash-bucketed with key verification, so collisions cannot alias),
+//!   shared across the workers of a parallel run through
+//!   [`SharedSolverCache`];
 //! * **independent-constraint slicing**: the constraint set is partitioned
 //!   into connected components by shared input symbols and each component
 //!   is decided separately, under one *shared* conflict budget;

@@ -2,33 +2,31 @@
 //!
 //! PR 7's [`symmerge_expr::SharedExprPool`] made `ExprId`s globally
 //! stable across the workers of a parallel run, but each worker still
-//! warmed its *own* query cache and counterexample cache from scratch —
-//! the fleet paid for every verdict up to `jobs` times. This module is
-//! the cache-side counterpart of the shared pool, and it copies the same
+//! warmed its *own* exact-match query cache from scratch — the fleet
+//! paid for every verdict up to `jobs` times. This module is the
+//! cache-side counterpart of the shared pool, and it copies the same
 //! design:
 //!
-//! * a **shared, append-only store** behind sharded locks — the exact
-//!   verdict tier is sharded 16 ways by the query's commutative
+//! * a **shared, append-only store** of exact verdicts behind sharded
+//!   locks — sharded 16 ways by the query's commutative
 //!   [`set hash`](crate::solve) (writes take one shard's write lock, and
 //!   only on first publication; duplicates are detected under a read
-//!   lock first), while the two counterexample tiers are append-only
-//!   logs with their 64-bit membership signatures;
+//!   lock first);
 //! * **per-worker read mirrors** ([`SharedCacheMirror`]) that a
 //!   [`crate::Solver`] consults lock-free on the query path: `sync()`
 //!   copies any entries published since the last sync into the mirror's
 //!   private index (cursor per shard — append-only storage is what makes
 //!   a cursor sufficient), so the hot read path costs exactly what the
-//!   private caches cost. A one-atomic-load version check makes the
+//!   private cache costs. A one-atomic-load version check makes the
 //!   steady-state sync (nothing new) effectively free.
 //!
 //! Entries are **never evicted**: mirrors index into their own copies,
-//! so the store only grows (the counterexample logs stop accepting
-//! publications at a capacity bound instead of evicting — a mirror can
-//! never lose an entry, which `shared_cache_prop.rs` pins as the sync
-//! monotonicity property). Exact entries are full-key verified on every
-//! hit, exactly like the private [`QueryCache`](crate::solve): two
-//! distinct sets colliding on the 64-bit prehash share a bucket but can
-//! never alias each other's verdict, even across workers.
+//! so the store only grows and a mirror can never lose an entry, which
+//! `shared_cache_prop.rs` pins as the sync monotonicity property.
+//! Entries are full-key verified on every hit, exactly like the private
+//! [`QueryCache`](crate::solve): two distinct sets colliding on the
+//! 64-bit prehash share a bucket but can never alias each other's
+//! verdict, even across workers.
 //!
 //! **Result invariance.** Under canonical minimal models
 //! ([`crate::SolverConfig::canonical_models`]) every verdict — including
@@ -37,11 +35,10 @@
 //! local solver would have computed; shared-on and shared-off runs are
 //! byte-identical. Without canonical models, verdicts (sat/unsat) are
 //! still invariant but *which* satisfying model a query returns may
-//! depend on cross-worker timing, the same caveat model reuse already
-//! carries across configurations.
+//! depend on cross-worker timing: the first worker to publish a set
+//! decides its stored model.
 
 use crate::model::Model;
-use crate::solve::{is_subset, signature};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LockResult, PoisonError, RwLock};
@@ -85,39 +82,11 @@ struct ExactEntry {
     model: Option<Model>,
 }
 
-/// An append-only counterexample log: `(signature, set, payload)`
-/// entries, capacity-bounded by refusing publications (never by
-/// eviction, which would break mirror monotonicity).
-#[derive(Debug)]
-struct CexLog<T> {
-    entries: Vec<(u64, Box<[ExprId]>, T)>,
-    capacity: usize,
-}
-
-impl<T> CexLog<T> {
-    fn new(capacity: usize) -> Self {
-        CexLog { entries: Vec::new(), capacity }
-    }
-
-    /// Appends unless the set is already present or the log is full.
-    fn publish(&mut self, sig: u64, set: &[ExprId], payload: T) -> bool {
-        if self.entries.len() >= self.capacity {
-            return false;
-        }
-        if self.entries.iter().any(|(s, k, _)| *s == sig && **k == *set) {
-            return false;
-        }
-        self.entries.push((sig, set.into(), payload));
-        true
-    }
-}
-
 /// The cross-worker shared verdict store: an append-only exact-verdict
-/// tier behind sharded locks (full-key verified on every hit, so a
+/// store behind sharded locks (full-key verified on every hit, so a
 /// colliding prehash can never alias two distinct sets — not even
-/// across workers) plus append-only subset/superset counterexample
-/// logs with 64-bit membership signatures. Workers read it through
-/// private lock-free mirrors that catch up at step boundaries.
+/// across workers). Workers read it through private lock-free mirrors
+/// that catch up at step boundaries.
 ///
 /// Construct one with [`SharedSolverCache::new`], hand the `Arc` to
 /// every worker's engine, and attach it to each worker's solver
@@ -130,22 +99,17 @@ impl<T> CexLog<T> {
 #[derive(Debug)]
 pub struct SharedSolverCache {
     exact: Vec<RwLock<ExactShard>>,
-    cex_unsat: RwLock<CexLog<()>>,
-    cex_sat: RwLock<CexLog<Model>>,
     /// Bumped on every successful publication; mirrors compare it to
     /// skip the per-shard walk when nothing changed.
     version: AtomicUsize,
 }
 
 impl SharedSolverCache {
-    /// Creates an empty store. `cex_capacity` bounds *each*
-    /// counterexample log (unsat cores and sat sets separately); the
-    /// exact tier is unbounded, like the private query cache.
-    pub fn new(cex_capacity: usize) -> Arc<SharedSolverCache> {
+    /// Creates an empty store. It is unbounded, like the private query
+    /// cache.
+    pub fn new() -> Arc<SharedSolverCache> {
         Arc::new(SharedSolverCache {
             exact: (0..EXACT_SHARDS).map(|_| RwLock::new(ExactShard::default())).collect(),
-            cex_unsat: RwLock::new(CexLog::new(cex_capacity)),
-            cex_sat: RwLock::new(CexLog::new(cex_capacity)),
             version: AtomicUsize::new(0),
         })
     }
@@ -188,34 +152,10 @@ impl SharedSolverCache {
         lookup(&s, h, set).map(|e| e.model.clone())
     }
 
-    /// Publishes an unsat core (a sorted, deduplicated set). Returns
-    /// whether it was newly inserted (the log may be full or already
-    /// hold the set).
-    pub fn publish_unsat_core(&self, set: &[ExprId]) -> bool {
-        let inserted = recover(self.cex_unsat.write()).publish(signature(set), set, ());
-        if inserted {
-            self.version.fetch_add(1, Ordering::Release);
-        }
-        inserted
-    }
-
-    /// Publishes a satisfiable set with its model (superset donation
-    /// tier). Returns whether it was newly inserted.
-    pub fn publish_sat_set(&self, set: &[ExprId], m: &Model) -> bool {
-        let inserted = recover(self.cex_sat.write()).publish(signature(set), set, m.clone());
-        if inserted {
-            self.version.fetch_add(1, Ordering::Release);
-        }
-        inserted
-    }
-
-    /// Total published entries across all tiers (observability; the
-    /// monotonicity property compares mirror sizes against this).
+    /// Total published entries (observability; the monotonicity
+    /// property compares mirror sizes against this).
     pub fn published(&self) -> usize {
-        let exact: usize = self.exact.iter().map(|s| recover(s.read()).entries.len()).sum();
-        exact
-            + recover(self.cex_unsat.read()).entries.len()
-            + recover(self.cex_sat.read()).entries.len()
+        self.exact.iter().map(|s| recover(s.read()).entries.len()).sum()
     }
 }
 
@@ -229,17 +169,17 @@ fn lookup<'a>(shard: &'a ExactShard, h: u64, set: &[ExprId]) -> Option<&'a Exact
         .find(|e| e.hash == h && *e.set == *set)
 }
 
-/// A worker-private, lock-free read mirror of a [`SharedSolverCache`].
-///
-/// Owned by one [`crate::Solver`]; `sync()` copies entries published
-/// since the last sync (per-shard cursors over the append-only logs)
-/// into private indexes, after which lookups cost the same as the
-/// private caches. Monotone by construction: cursors only advance and
-/// mirrored entries are never dropped.
 /// One mirrored exact-tier bucket: full constraint-set keys with their
 /// verdicts (`None` = unsat, `Some` = sat with the published model).
 type MirrorBucket = Vec<(Box<[ExprId]>, Option<Model>)>;
 
+/// A worker-private, lock-free read mirror of a [`SharedSolverCache`].
+///
+/// Owned by one [`crate::Solver`]; `sync()` copies entries published
+/// since the last sync (per-shard cursors over the append-only shards)
+/// into a private index, after which lookups cost the same as the
+/// private cache. Monotone by construction: cursors only advance and
+/// mirrored entries are never dropped.
 #[derive(Debug)]
 pub(crate) struct SharedCacheMirror {
     shared: Arc<SharedSolverCache>,
@@ -248,10 +188,6 @@ pub(crate) struct SharedCacheMirror {
     /// Mirrored exact tier, hash-bucketed with full keys like the
     /// private query cache.
     exact: HashMap<u64, MirrorBucket>,
-    unsat_cursor: usize,
-    unsat_sets: Vec<(u64, Box<[ExprId]>)>,
-    sat_cursor: usize,
-    sat_sets: Vec<(u64, Box<[ExprId]>, Model)>,
 }
 
 impl SharedCacheMirror {
@@ -261,10 +197,6 @@ impl SharedCacheMirror {
             seen_version: 0,
             exact_cursors: [0; EXACT_SHARDS],
             exact: HashMap::new(),
-            unsat_cursor: 0,
-            unsat_sets: Vec::new(),
-            sat_cursor: 0,
-            sat_sets: Vec::new(),
         }
     }
 
@@ -287,20 +219,6 @@ impl SharedCacheMirror {
             }
             *cursor = shard.entries.len();
         }
-        {
-            let log = recover(self.shared.cex_unsat.read());
-            for (sig, set, ()) in &log.entries[self.unsat_cursor..] {
-                self.unsat_sets.push((*sig, set.clone()));
-            }
-            self.unsat_cursor = log.entries.len();
-        }
-        {
-            let log = recover(self.shared.cex_sat.read());
-            for (sig, set, m) in &log.entries[self.sat_cursor..] {
-                self.sat_sets.push((*sig, set.clone(), m.clone()));
-            }
-            self.sat_cursor = log.entries.len();
-        }
     }
 
     /// Mirrored exact verdict for `(h, set)`, full-key verified.
@@ -308,27 +226,9 @@ impl SharedCacheMirror {
         self.exact.get(&h)?.iter().find(|(k, _)| **k == *set).map(|(_, m)| m.as_ref())
     }
 
-    /// Does a mirrored unsat core prove `set` (signature `sig`) unsat?
-    /// Signature-prefiltered: one AND/compare rejects most entries
-    /// before the linear subset merge runs.
-    pub(crate) fn implies_unsat(&self, sig: u64, set: &[ExprId]) -> bool {
-        self.unsat_sets.iter().any(|(s, u)| *s & !sig == 0 && is_subset(u, set))
-    }
-
-    /// A model from a mirrored sat superset of `set`, if any.
-    pub(crate) fn model_for_subset(&self, sig: u64, set: &[ExprId]) -> Option<&Model> {
-        self.sat_sets
-            .iter()
-            .find(|(s, sup, _)| sig & !*s == 0 && is_subset(set, sup))
-            .map(|(_, _, m)| m)
-    }
-
-    /// Total mirrored entries across all tiers (the sync monotonicity
-    /// observable).
+    /// Total mirrored entries (the sync monotonicity observable).
     pub(crate) fn entries(&self) -> usize {
-        self.exact.values().map(Vec::len).sum::<usize>()
-            + self.unsat_sets.len()
-            + self.sat_sets.len()
+        self.exact.values().map(Vec::len).sum()
     }
 }
 
@@ -363,7 +263,7 @@ mod tests {
         let a = ids(&mut pool, &["a", "b"]);
         let b = ids(&mut pool, &["c", "d"]);
         assert_ne!(a, b);
-        let cache = SharedSolverCache::new(16);
+        let cache = SharedSolverCache::new();
         let h = 0xDEAD_BEEF;
         assert!(cache.publish_verdict(h, &a, None));
         // Worker B's lookup of its own distinct set under the same hash.
@@ -380,27 +280,19 @@ mod tests {
     fn duplicate_publication_is_a_no_op() {
         let mut pool = ExprPool::new(8);
         let a = ids(&mut pool, &["a", "b"]);
-        let cache = SharedSolverCache::new(16);
-        let h = set_hash(&a);
-        assert!(cache.publish_verdict(h, &a, None));
-        assert!(!cache.publish_verdict(h, &a, None));
-        assert!(cache.publish_unsat_core(&a));
-        assert!(!cache.publish_unsat_core(&a));
+        let b = ids(&mut pool, &["c", "d"]);
+        let cache = SharedSolverCache::new();
+        let (ha, hb) = (set_hash(&a), set_hash(&b));
+        assert!(cache.publish_verdict(ha, &a, None));
+        assert!(!cache.publish_verdict(ha, &a, None));
+        let mut m = Model::new();
+        m.set(pool.intern_symbol("c"), 1);
+        assert!(cache.publish_verdict(hb, &b, Some(&m)));
+        // A second publication of the set, whatever its model, keeps
+        // the first one.
+        assert!(!cache.publish_verdict(hb, &b, Some(&Model::new())));
+        assert_eq!(cache.verdict_for(hb, &b), Some(Some(m)));
         assert_eq!(cache.published(), 2);
-    }
-
-    #[test]
-    fn cex_log_refuses_publications_beyond_capacity() {
-        let mut pool = ExprPool::new(8);
-        let cache = SharedSolverCache::new(1);
-        let a = ids(&mut pool, &["a"]);
-        let b = ids(&mut pool, &["b"]);
-        assert!(cache.publish_unsat_core(&a));
-        assert!(!cache.publish_unsat_core(&b)); // full: refused, not evicted
-        let mut mirror = SharedCacheMirror::new(Arc::clone(&cache));
-        mirror.sync();
-        assert!(mirror.implies_unsat(signature(&a), &a));
-        assert!(!mirror.implies_unsat(signature(&b), &b));
     }
 
     /// A worker dying while holding shard locks must not take the rest
@@ -413,32 +305,32 @@ mod tests {
         let mut pool = ExprPool::new(8);
         let a = ids(&mut pool, &["a", "b"]);
         let b = ids(&mut pool, &["c", "d"]);
-        let cache = SharedSolverCache::new(16);
+        let cache = SharedSolverCache::new();
         let h = set_hash(&a);
         assert!(cache.publish_verdict(h, &a, None));
-        assert!(cache.publish_unsat_core(&a));
-        // Poison every exact shard and both cex logs: a thread panics
-        // while holding each write lock.
+        // Poison every exact shard: a thread panics while holding each
+        // write lock.
         let poisoner = Arc::clone(&cache);
         let t = std::thread::spawn(move || {
             let _guards: Vec<_> = poisoner.exact.iter().map(|s| s.write().unwrap()).collect();
-            let _unsat = poisoner.cex_unsat.write().unwrap();
-            let _sat = poisoner.cex_sat.write().unwrap();
             panic!("worker dies holding the shard locks");
         });
         assert!(t.join().is_err(), "the poisoner must have panicked");
         assert!(cache.exact.iter().all(|s| s.is_poisoned()), "locks must actually be poisoned");
         // Reads survive and still see the pre-panic entries...
         assert_eq!(cache.verdict_for(h, &a), Some(None));
+        assert_eq!(cache.published(), 1);
+        // ...publication still works, duplicates included...
+        assert!(!cache.publish_verdict(h, &a, None));
+        let mut m = Model::new();
+        m.set(pool.intern_symbol("c"), 1);
+        assert!(cache.publish_verdict(set_hash(&b), &b, Some(&m)));
         assert_eq!(cache.published(), 2);
-        // ...publication still works...
-        assert!(cache.publish_verdict(set_hash(&b), &b, None));
-        assert!(cache.publish_unsat_core(&b));
         // ...and mirrors sync through the poisoned locks.
         let mut mirror = SharedCacheMirror::new(Arc::clone(&cache));
         mirror.sync();
         assert_eq!(mirror.verdict_for(h, &a), Some(None));
-        assert_eq!(mirror.verdict_for(set_hash(&b), &b), Some(None));
-        assert!(mirror.implies_unsat(signature(&b), &b));
+        assert_eq!(mirror.verdict_for(set_hash(&b), &b), Some(Some(&m)));
+        assert_eq!(mirror.entries(), 2);
     }
 }

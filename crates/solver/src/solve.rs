@@ -5,17 +5,10 @@
 //!
 //! 1. **exact-match cache** — verdicts keyed on the *full* normalized
 //!    constraint set (hash-bucketed with key verification, so hash
-//!    collisions can never alias two different queries);
-//! 2. **model reuse** — recent satisfying models are re-evaluated on the
-//!    new query (the cheap half of KLEE's counterexample cache);
-//! 3. **counterexample cache** — subset/superset reasoning: a stored
-//!    unsat set that is a *subset* of the query proves the query unsat; a
-//!    stored sat set that is a *superset* of the query donates its model.
-//!    Subset scans are prefiltered by 64-bit membership signatures,
-//!    and tiers 2–3 are skipped entirely for small context-served
-//!    queries, where the warm context below is cheaper than the tiers
-//!    themselves ([`SolverConfig::tier_gate`]);
-//! 4. **incremental contexts** — for prefix-shaped queries
+//!    collisions can never alias two different queries), backed in a
+//!    parallel fleet by the workers' shared verdict store
+//!    ([`SharedSolverCache`]);
+//! 2. **incremental contexts** — for prefix-shaped queries
 //!    ([`Solver::check_assuming`]), a [`SolverContext`] from the
 //!    **fork-aware context tree** keeps the path-condition prefix
 //!    bit-blasted and decides the branch conjunct under assumptions.
@@ -25,7 +18,7 @@
 //!    re-blasting the shared prefix per child, and eviction is
 //!    subtree-LRU over *leaves* only, so a live ancestor that resident
 //!    descendants still extend is never evicted from under them;
-//! 5. **re-blast** — the paper's KLEE + STP scheme: partition into
+//! 3. **re-blast** — the paper's KLEE + STP scheme: partition into
 //!    independent slices, build a fresh CNF and CDCL solver per slice.
 //!
 //! Every tier can be ablated through [`SolverConfig`].
@@ -35,7 +28,7 @@ use crate::context::{minimize_model, SolverContext};
 use crate::model::Model;
 use crate::sat::{SatSolver, SolveOutcome};
 use crate::shared::{SharedCacheMirror, SharedSolverCache};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symmerge_expr::{ExprId, ExprPool, SymbolId};
@@ -65,8 +58,8 @@ impl SatResult {
 
 /// Configuration for [`Solver`].
 ///
-/// [`SolverConfig::default`] is a set of constants: every tier on, the
-/// measured gate and budgets. It reads no environment. The
+/// [`SolverConfig::default`] is a set of constants: every tier on and
+/// the measured budgets. It reads no environment. The
 /// `SYMMERGE_SOLVER_*` ablation switches are parsed once, at the
 /// `symmerge_core::env` boundary, by the callers that opt in (the CLI,
 /// the bench harnesses and the differential test harness). Tests that
@@ -75,38 +68,10 @@ impl SatResult {
 pub struct SolverConfig {
     /// Enable the query result cache (exact match on the constraint set).
     pub use_cache: bool,
-    /// Try recently produced models on new queries before invoking SAT
-    /// (the cheap half of KLEE's counterexample cache).
-    pub use_model_reuse: bool,
     /// Partition the constraint set into independent slices by shared
     /// input symbols and decide each slice separately (re-blast path
     /// only; incremental contexts are monolithic by construction).
     pub use_independence: bool,
-    /// Enable the subset/superset counterexample cache: stored unsat
-    /// cores answer superset queries, stored sat sets answer subset
-    /// queries.
-    pub use_cex_cache: bool,
-    /// Query-size gate for the model-reuse and counterexample tiers on
-    /// **warm context-served** queries: a prefix-shaped query whose
-    /// normalized set has at most this many conjuncts, and whose
-    /// prefix a resident context covers up to at most one uncovered
-    /// conjunct, skips the model re-evaluation and cex subset scans —
-    /// for those queries a context hit (one incremental solve under
-    /// assumptions on an already-blasted prefix) is cheaper than the
-    /// tiers that were supposed to short-circuit it. The coverage
-    /// condition matters: the context's cost scales with the tail it
-    /// still has to blast — tail ≤ 1 is the steady-state branch query,
-    /// while a longer tail (a migrated state on a sharded worker whose
-    /// context holds only the trunk) pays a real blast-and-solve,
-    /// which the tiers *do* profitably shield (measured in
-    /// `parallel_scaling`: gating all context routes at `wc`@6
-    /// jobs = 2 doubled the wall). The exact-match cache (tier 1)
-    /// stays on for every query, and re-blast-path queries are never
-    /// gated (there a tier hit still saves a full CNF build). `0`
-    /// disables the gate (the `SYMMERGE_SOLVER_TIER_GATE=0` ablation
-    /// leg). Default measured on `wc`@6 Random (`tier_sweep`):
-    /// see [`SolverConfig::default`].
-    pub tier_gate: usize,
     /// Answer prefix-shaped queries ([`Solver::check_assuming`]) on
     /// persistent incremental [`SolverContext`]s instead of re-blasting.
     pub use_incremental: bool,
@@ -117,8 +82,9 @@ pub struct SolverConfig {
     /// expression pools of a sharded parallel run (name order, unlike
     /// [`symmerge_expr::SymbolId`] order, does not depend on interning
     /// history), at the cost of extra incremental probes per sat answer.
-    /// Disables model reuse and sat-superset donation, which would
-    /// return non-minimal models.
+    /// The exact-match caches, private and shared, store whatever model
+    /// the solving path returned, so under this flag they hold
+    /// canonical models only.
     pub canonical_models: bool,
     /// Conflict budget *per query* (shared across independence slices and
     /// canonicalization probes); `None` means unbounded.
@@ -135,8 +101,6 @@ pub struct SolverConfig {
     /// `4,16` is the default). Unbounded-budget solvers never return
     /// budget `Unknown`s, so the ladder is inert for them.
     pub retry_ladder: Vec<u64>,
-    /// How many recent models to retain for model reuse.
-    pub model_history: usize,
     /// The context-count *floor* of the fork-aware tree's residency
     /// policy (evicted subtree-LRU, leaves first — a live ancestor of a
     /// resident context is never evicted); `0` disables the incremental
@@ -160,19 +124,15 @@ pub struct SolverConfig {
     /// the budget may transiently overshoot by one context's growth
     /// between queries.
     pub max_context_clauses: u64,
-    /// How many unsat cores / sat sets the counterexample cache retains
-    /// (each, FIFO-evicted).
-    pub cex_capacity: usize,
     /// Participate in a cross-worker [`SharedSolverCache`] when the
     /// engine attaches one ([`Solver::attach_shared_cache`]): consult
-    /// the worker's read mirror after the private tiers miss, and
-    /// publish fresh verdicts and unsat cores for the other workers.
-    /// Every parallel fleet attaches its store and shares one
-    /// expression pool whatever this flag says; the flag gates only the
-    /// verdict store. A sequential engine (`jobs = 1`) attaches nothing
-    /// and keeps the private path bit-for-bit regardless, and the
-    /// shared cex tiers sit behind the same warm-route
-    /// [`SolverConfig::tier_gate`] as the private ones.
+    /// the worker's read mirror after the private exact-match cache
+    /// misses, and publish fresh exact verdicts for the other workers.
+    /// Both sides of the store need [`SolverConfig::use_cache`]. Every
+    /// parallel fleet attaches its store and shares one expression pool
+    /// whatever this flag says; the flag gates only the verdict store.
+    /// A sequential engine (`jobs = 1`) attaches nothing and keeps the
+    /// private path bit-for-bit regardless.
     /// `SYMMERGE_SHARED_CACHE=0` is the ablation leg.
     pub shared_cache: bool,
 }
@@ -181,21 +141,11 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             use_cache: true,
-            use_model_reuse: true,
             use_independence: true,
-            use_cex_cache: true,
-            // Swept on `wc`@6 Random (`ctx_stats`): query sizes there
-            // concentrate at 20–36 conjuncts and a context hit beats
-            // the skipped tiers across the whole range, so the default
-            // sits above the observed sizes; larger values were
-            // indistinguishable (the tiers only start winning on
-            // re-blast queries, which are never gated).
-            tier_gate: 64,
             use_incremental: true,
             canonical_models: false,
             max_conflicts: None,
             retry_ladder: vec![4, 16],
-            model_history: 32,
             // 4 → 16 in PR 3 (measured rebuild thrash under interleaving
             // strategies); 16 → 64 with the fork-aware tree: forked
             // divergence contexts are only worth keeping if they survive
@@ -217,7 +167,6 @@ impl Default for SolverConfig {
             // second copy of the CNF, ~215 MiB with the flat clause
             // arena and watch pool.
             max_context_clauses: 1_000_000,
-            cex_capacity: 256,
             shared_cache: true,
         }
     }
@@ -246,11 +195,15 @@ pub struct SolverStats {
     pub unknown: u64,
     /// Queries answered from the exact-match cache.
     pub cache_hits: u64,
-    /// Queries answered by re-evaluating a recent model.
+    /// Always 0: the model-reuse tier that counted here is gone. Kept,
+    /// like the three counterexample-cache counters, because the
+    /// benchmark harness (`perfbench`) reads it.
     pub model_reuse_hits: u64,
-    /// Queries proved unsat by a stored unsat core (subset of the query).
+    /// Always 0: the counterexample cache is gone. Kept for the
+    /// benchmark harness (`perfbench`), which reads it.
     pub cex_unsat_hits: u64,
-    /// Queries answered by a stored sat superset's model.
+    /// Always 0: the counterexample cache is gone. Kept for the
+    /// benchmark harness (`perfbench`), which reads it.
     pub cex_sat_hits: u64,
     /// Queries decided on a reused incremental context (exact prefix
     /// match or warm ancestor).
@@ -278,8 +231,9 @@ pub struct SolverStats {
     pub time: Duration,
     /// Cumulative time spent inside the SAT solver proper.
     pub sat_time: Duration,
-    /// Cumulative time spent in cache-tier bookkeeping: the tier-1–3
-    /// lookups a query pays before routing to a solving path, plus
+    /// Cumulative time spent in cache bookkeeping: the exact-match
+    /// lookups (private, then shared) a query pays before routing to a
+    /// solving path, plus
     /// feeding the fresh result back into the caches. Disjoint from
     /// `sat_time` and `route_time` and contained (with them) in `time`.
     /// Previously this cost hid inside `time`, which made the
@@ -330,9 +284,8 @@ pub struct SolverStats {
     /// a verdict some *other* worker published (entries this worker
     /// published itself are found in its private cache first).
     pub shared_query_hits: u64,
-    /// Queries answered by the shared cache's mirrored counterexample
-    /// tiers (a foreign unsat core proving the query unsat, or a
-    /// foreign sat superset donating its model).
+    /// Always 0: the shared store keeps exact verdicts only. Kept for
+    /// the benchmark harness (`perfbench`), which reads it.
     pub shared_cex_hits: u64,
     /// Entries this solver newly published to the shared cache (a
     /// verdict another worker already published counts nowhere).
@@ -441,94 +394,6 @@ impl QueryCache {
             Some(entry) => entry.1 = result,
             None => bucket.push((set.into(), result)),
         }
-    }
-}
-
-/// The KLEE-style counterexample cache over *sorted* constraint sets.
-///
-/// Soundness rests on two set-theoretic facts: an unsat subset proves any
-/// superset unsat (adding conjuncts cannot recover satisfiability), and a
-/// model for a superset satisfies every subset (dropping conjuncts cannot
-/// invalidate it). Stored unsat sets are kept minimal-ish by subsumption:
-/// inserting a new core drops stored supersets, and cores that come from
-/// independence slices or dead context prefixes are smaller than the
-/// queries that produced them.
-///
-/// Every stored set carries its membership [`signature`], so a subset
-/// scan tests one AND/compare per stored set and runs the linear merge
-/// only on survivors. Both stores enforce `capacity` by FIFO eviction
-/// independently — overfilling one side can never evict the other's
-/// entries (they are separate queues by construction; the regression
-/// test `cex_capacity_is_enforced_per_store` pins that down).
-///
-/// The sorted-set invariant [`is_subset`] relies on is checked at this
-/// boundary — every public entry point asserts it — so an unsorted
-/// future caller fails a debug build's test run instead of silently
-/// missing (or worse, bogusly claiming) subset relations.
-#[derive(Debug)]
-struct CexCache {
-    unsat_sets: VecDeque<(u64, Box<[ExprId]>)>,
-    sat_sets: VecDeque<(u64, Box<[ExprId]>, Model)>,
-    capacity: usize,
-}
-
-/// Boundary assertion for the sorted, deduplicated set invariant.
-fn debug_assert_normalized(set: &[ExprId]) {
-    debug_assert!(
-        set.windows(2).all(|w| w[0] < w[1]),
-        "cex-cache sets must be sorted and deduplicated"
-    );
-}
-
-impl CexCache {
-    fn new(capacity: usize) -> Self {
-        CexCache { unsat_sets: VecDeque::new(), sat_sets: VecDeque::new(), capacity }
-    }
-
-    /// One-word refutation of `a ⊆ b` (true = the merge must run).
-    fn may_subset(sig_a: u64, sig_b: u64) -> bool {
-        sig_a & !sig_b == 0
-    }
-
-    /// Does a stored unsat core prove `set` (with signature `sig`) unsat?
-    fn implies_unsat(&self, sig: u64, set: &[ExprId]) -> bool {
-        debug_assert_normalized(set);
-        self.unsat_sets.iter().any(|(s, u)| Self::may_subset(*s, sig) && is_subset(u, set))
-    }
-
-    /// A model from a stored sat superset of `set`, if any.
-    fn model_for_subset(&self, sig: u64, set: &[ExprId]) -> Option<&Model> {
-        debug_assert_normalized(set);
-        self.sat_sets
-            .iter()
-            .find(|(s, sup, _)| Self::may_subset(sig, *s) && is_subset(set, sup))
-            .map(|(_, _, m)| m)
-    }
-
-    fn note_unsat(&mut self, set: &[ExprId]) {
-        debug_assert_normalized(set);
-        let sig = signature(set);
-        if self.capacity == 0 || self.implies_unsat(sig, set) {
-            return; // already covered by a stored (smaller) core
-        }
-        self.unsat_sets.retain(|(s, u)| !(Self::may_subset(sig, *s) && is_subset(set, u)));
-        while self.unsat_sets.len() >= self.capacity {
-            self.unsat_sets.pop_front();
-        }
-        self.unsat_sets.push_back((sig, set.into()));
-    }
-
-    fn note_sat(&mut self, set: &[ExprId], m: &Model) {
-        debug_assert_normalized(set);
-        let sig = signature(set);
-        if self.capacity == 0 || self.model_for_subset(sig, set).is_some() {
-            return; // a stored superset already answers everything this would
-        }
-        self.sat_sets.retain(|(s, sub, _)| !(Self::may_subset(*s, sig) && is_subset(sub, set)));
-        while self.sat_sets.len() >= self.capacity {
-            self.sat_sets.pop_front();
-        }
-        self.sat_sets.push_back((sig, set.into(), m.clone()));
     }
 }
 
@@ -815,8 +680,8 @@ impl ContextTree {
 /// `(prefix, extra)` split (`may_extend` is false for probe queries,
 /// which must not leave sibling evidence on the context) plus the
 /// already-performed tree lookup, so the walk happens once per query —
-/// the cache tiers in between never mutate the tree, which is what keeps
-/// the pre-walked result valid.
+/// the cache lookup in between never mutates the tree, which is what
+/// keeps the pre-walked result valid.
 struct CtxRoute<'a> {
     prefix: &'a [ExprId],
     extra: ExprId,
@@ -824,23 +689,6 @@ struct CtxRoute<'a> {
     /// `(deepest resident node, conjuncts matched)` as returned by
     /// [`ContextTree::lookup`] for `prefix`.
     prefound: (Option<usize>, usize),
-}
-
-/// `a ⊆ b` for sorted, deduplicated slices (linear merge walk).
-pub(crate) fn is_subset(a: &[ExprId], b: &[ExprId]) -> bool {
-    let mut bi = b.iter();
-    'outer: for x in a {
-        for y in bi.by_ref() {
-            if y == x {
-                continue 'outer;
-            }
-            if y > x {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
 }
 
 /// A caching, slicing, incrementally solving bitvector solver.
@@ -854,8 +702,6 @@ pub(crate) fn is_subset(a: &[ExprId], b: &[ExprId]) -> bool {
 pub struct Solver {
     config: SolverConfig,
     cache: QueryCache,
-    cex: CexCache,
-    recent_models: VecDeque<Model>,
     tree: ContextTree,
     ctx_clock: u64,
     last_affinity: u64,
@@ -898,12 +744,9 @@ struct ForcedUnknowns {
 impl Solver {
     /// Creates a solver with the given configuration.
     pub fn new(config: SolverConfig) -> Self {
-        let cex = CexCache::new(config.cex_capacity);
         Solver {
             config,
             cache: QueryCache::default(),
-            cex,
-            recent_models: VecDeque::new(),
             tree: ContextTree::new(),
             ctx_clock: 0,
             last_affinity: 0,
@@ -1113,7 +956,7 @@ impl Solver {
             // conjunct, instead of re-sorting and re-hashing the whole
             // set on every query of the path. The walk result is handed
             // down as `prefound` so the context routing below does not
-            // repeat it (sound: the cache tiers never mutate the tree).
+            // repeat it (sound: the cache lookup never mutates the tree).
             let (found, matched) = self.tree.lookup(prefix);
             let route = CtxRoute { prefix, extra, may_extend, prefound: (found, matched) };
             if let Some(n) = found {
@@ -1209,24 +1052,8 @@ impl Solver {
         // windows below are measured separately, keeping the three
         // counters disjoint inside `time`.
         self.stats.route_time += start.elapsed();
-        // Tier gate: on warm context-served queries at or below the
-        // threshold, the context beats the model-reuse and cex tiers —
-        // skip straight past them (the exact cache stays on). "Warm"
-        // means a resident context covers the prefix up to at most one
-        // uncovered conjunct: the context's cost scales with the tail
-        // it still has to blast, and tail ≤ 1 is the steady-state
-        // branch query (the prefix grew by one conjunct since the
-        // context last moved). Longer tails — a migrated state on a
-        // sharded worker whose context holds only the trunk — pay a
-        // real blast-and-solve, which the tiers profitably shield; see
-        // `SolverConfig::tier_gate`.
-        let warm = route
-            .as_ref()
-            .is_some_and(|r| r.prefound.0.is_some() && r.prefix.len() - r.prefound.1 <= 1);
-        let gated = warm && self.config.tier_gate > 0 && set.len() <= self.config.tier_gate;
-
         let cache_start = Instant::now();
-        let hit = self.lookup_caches(pool, h, set, gated);
+        let hit = self.lookup_caches(pool, h, set);
         self.stats.cache_time += cache_start.elapsed();
         if let Some(hit) = hit {
             self.stats.time += start.elapsed();
@@ -1336,17 +1163,10 @@ impl Solver {
         result
     }
 
-    /// Tiers 1–3: exact cache, model reuse, counterexample cache.
-    /// `gated` skips tiers 2–3 (the exact cache always runs); `h` is the
-    /// query's [`set_hash`], shared by every cache touch below so the
-    /// set is hashed once per query at most.
-    fn lookup_caches(
-        &mut self,
-        pool: &ExprPool,
-        h: u64,
-        set: &[ExprId],
-        gated: bool,
-    ) -> Option<SatResult> {
+    /// The exact-match cache, private then shared. `h` is the query's
+    /// [`set_hash`], shared by every cache touch so the set is hashed
+    /// once per query at most.
+    fn lookup_caches(&mut self, pool: &ExprPool, h: u64, set: &[ExprId]) -> Option<SatResult> {
         if self.config.use_cache {
             if let Some(cached) = self.cache.get_hashed(h, set) {
                 self.stats.cache_hits += 1;
@@ -1361,10 +1181,9 @@ impl Solver {
                     }
                 });
             }
-            // Shared exact tier: a verdict another worker published.
-            // Like the private exact cache it is never gated — a hit
-            // here replaces a full solve, full-key verified so a
-            // colliding foreign set can never alias this query. The
+            // Shared exact tier: a verdict another worker published,
+            // full-key verified so a colliding foreign set can never
+            // alias this query. The
             // hit is copied into the private cache so repeats of the
             // query stay on the private path.
             if let Some(verdict) =
@@ -1386,69 +1205,6 @@ impl Solver {
                 });
             }
         }
-        if gated {
-            return None;
-        }
-        // Model-based shortcuts return whatever model happens to fit, so
-        // they are skipped in canonical mode (the answer must be *the*
-        // minimal model).
-        if self.config.use_model_reuse && !self.config.canonical_models {
-            if let Some(m) = self.recent_models.iter().find(|m| m.satisfies(pool, set)) {
-                let model = m.clone();
-                self.stats.model_reuse_hits += 1;
-                self.stats.sat += 1;
-                if self.config.use_cache {
-                    self.cache.insert_hashed(h, set, CachedResult::Sat(model.clone()));
-                }
-                return Some(SatResult::Sat(model));
-            }
-        }
-        if self.config.use_cex_cache {
-            let sig = signature(set);
-            if self.cex.implies_unsat(sig, set) {
-                self.stats.cex_unsat_hits += 1;
-                self.stats.unsat += 1;
-                if self.config.use_cache {
-                    self.cache.insert_hashed(h, set, CachedResult::Unsat);
-                }
-                return Some(SatResult::Unsat);
-            }
-            // Shared cex tiers: foreign unsat cores and sat supersets,
-            // behind the same tier gate as the private scans (the
-            // `gated` early-return above) so the shared fabric cannot
-            // reintroduce per-query scan cost on warm context routes.
-            if self.shared.as_ref().is_some_and(|mi| mi.implies_unsat(sig, set)) {
-                self.stats.shared_cex_hits += 1;
-                self.stats.unsat += 1;
-                if self.config.use_cache {
-                    self.cache.insert_hashed(h, set, CachedResult::Unsat);
-                }
-                return Some(SatResult::Unsat);
-            }
-            if !self.config.canonical_models {
-                if let Some(m) = self.cex.model_for_subset(sig, set) {
-                    let model = m.clone();
-                    debug_assert!(model.satisfies(pool, set), "cex superset model must satisfy");
-                    self.stats.cex_sat_hits += 1;
-                    self.stats.sat += 1;
-                    if self.config.use_cache {
-                        self.cache.insert_hashed(h, set, CachedResult::Sat(model.clone()));
-                    }
-                    return Some(SatResult::Sat(model));
-                }
-                if let Some(model) =
-                    self.shared.as_ref().and_then(|mi| mi.model_for_subset(sig, set)).cloned()
-                {
-                    debug_assert!(model.satisfies(pool, set), "shared superset model must satisfy");
-                    self.stats.shared_cex_hits += 1;
-                    self.stats.sat += 1;
-                    if self.config.use_cache {
-                        self.cache.insert_hashed(h, set, CachedResult::Sat(model.clone()));
-                    }
-                    return Some(SatResult::Sat(model));
-                }
-            }
-        }
         None
     }
 
@@ -1463,25 +1219,10 @@ impl Solver {
             SatResult::Sat(m) => {
                 debug_assert!(m.satisfies(pool, set), "solver returned a bogus model");
                 self.stats.sat += 1;
-                // The model-donating tiers (reuse, cex sat-superset) are
-                // disabled in canonical mode, so feeding them there is
-                // pure cost: a model clone and a subset scan per sat
-                // answer that nothing ever reads.
-                if !self.config.canonical_models {
-                    self.remember_model(m.clone());
-                }
                 if self.config.use_cache {
                     self.cache.insert_hashed(h, set, CachedResult::Sat(m.clone()));
                     if let Some(mi) = &self.shared {
                         if mi.shared().publish_verdict(h, set, Some(m)) {
-                            self.stats.shared_publishes += 1;
-                        }
-                    }
-                }
-                if self.config.use_cex_cache && !self.config.canonical_models {
-                    self.cex.note_sat(set, m);
-                    if let Some(mi) = &self.shared {
-                        if mi.shared().publish_sat_set(set, m) {
                             self.stats.shared_publishes += 1;
                         }
                     }
@@ -1497,36 +1238,12 @@ impl Solver {
                         }
                     }
                 }
-                if self.config.use_cex_cache {
-                    self.cex.note_unsat(set);
-                    // Mirror the private policy: the full unsat set is a
-                    // core too, and cross-worker superset refutation only
-                    // fires if foreign whole-query cores are published —
-                    // fine cores (dead prefixes, unsat slices) alone are
-                    // too subtree-specific to refute a sibling worker's
-                    // queries. The log's capacity bounds the cost.
-                    if let Some(mi) = &self.shared {
-                        if mi.shared().publish_unsat_core(set) {
-                            self.stats.shared_publishes += 1;
-                        }
-                    }
-                }
             }
             SatResult::Unknown => {
                 self.stats.unknown += 1;
                 // Never cache Unknown: a retry may have a bigger budget.
             }
         }
-    }
-
-    fn remember_model(&mut self, m: Model) {
-        if self.config.model_history == 0 {
-            return;
-        }
-        while self.recent_models.len() >= self.config.model_history {
-            self.recent_models.pop_front();
-        }
-        self.recent_models.push_back(m);
     }
 
     // ----- incremental context path ------------------------------------
@@ -1549,7 +1266,7 @@ impl Solver {
     /// `prefound` is the caller's already-performed
     /// [`ContextTree::lookup`] for `prefix`, if it has one (the query
     /// fast path walks the tree to reach the carried normalized set
-    /// before the cache tiers run, and nothing in between mutates the
+    /// before the cache lookup runs, and nothing in between mutates the
     /// tree).
     fn context_node_for(
         &mut self,
@@ -1652,8 +1369,7 @@ impl Solver {
         if self.tree.ctx(node).is_dead() {
             // The context's asserted prefix — possibly a strict subset
             // of the query's, when a dead ancestor answered — is unsat
-            // on its own: donate it as a core and skip solving.
-            self.note_dead_prefix(pool, node);
+            // on its own: skip solving.
             self.stats.route_time += route_start.elapsed();
             return SatResult::Unsat;
         }
@@ -1688,15 +1404,7 @@ impl Solver {
                 };
                 SatResult::Sat(model)
             }
-            SolveOutcome::Unsat => {
-                if self.tree.ctx(node).is_dead() {
-                    // A level-0 conflict is assumption-independent: the
-                    // prefix *alone* is unsat — a strictly smaller core
-                    // than the full query set.
-                    self.note_dead_prefix(pool, node);
-                }
-                SatResult::Unsat
-            }
+            SolveOutcome::Unsat => SatResult::Unsat,
             SolveOutcome::Unknown => SatResult::Unknown,
         };
         let after = self.tree.ctx(node).sat_stats();
@@ -1833,27 +1541,6 @@ impl Solver {
             .collect()
     }
 
-    /// Donates a dead context's asserted prefix to the counterexample
-    /// cache as an unsat core — and to the shared cache: dead-prefix
-    /// cores are the finest cores the incremental path produces, and
-    /// a foreign worker whose states extend a sibling of the dead
-    /// prefix refutes them by subset without ever building a context.
-    fn note_dead_prefix(&mut self, pool: &ExprPool, node: usize) {
-        if !self.config.use_cex_cache {
-            return;
-        }
-        let mut p: Vec<ExprId> =
-            self.tree.ctx(node).prefix().iter().copied().filter(|&c| !pool.is_true(c)).collect();
-        p.sort_unstable();
-        p.dedup();
-        self.cex.note_unsat(&p);
-        if let Some(mi) = &self.shared {
-            if mi.shared().publish_unsat_core(&p) {
-                self.stats.shared_publishes += 1;
-            }
-        }
-    }
-
     // ----- re-blast path ------------------------------------------------
 
     fn check_monolithic(&mut self, pool: &ExprPool, set: &[ExprId]) -> SatResult {
@@ -1883,32 +1570,6 @@ impl Solver {
             if remaining == Some(0) {
                 return SatResult::Unknown; // shared budget exhausted
             }
-            // Slice-level refutation: a stored unsat core inside one
-            // slice kills the whole conjunction before any CNF is
-            // built. Only multi-slice queries are checked — a single
-            // slice is the full set, which `lookup_caches` already
-            // screened — and the scan cost is charged to the cache
-            // window like every other tier. The shared mirror makes
-            // this *cross-worker*: slices are published as fine cores,
-            // so one worker's dead slice refutes every fleet query
-            // that contains it.
-            if slices.len() > 1 && self.config.use_cex_cache {
-                let cex_start = Instant::now();
-                let sig = signature(slice);
-                let hit = if self.cex.implies_unsat(sig, slice) {
-                    self.stats.cex_unsat_hits += 1;
-                    true
-                } else if self.shared.as_ref().is_some_and(|mi| mi.implies_unsat(sig, slice)) {
-                    self.stats.shared_cex_hits += 1;
-                    true
-                } else {
-                    false
-                };
-                self.stats.cache_time += cex_start.elapsed();
-                if hit {
-                    return SatResult::Unsat;
-                }
-            }
             let before = self.stats.conflicts;
             let result = self.solve_slice(pool, slice, remaining);
             if let Some(rem) = remaining.as_mut() {
@@ -1916,18 +1577,7 @@ impl Solver {
             }
             match result {
                 SatResult::Sat(m) => combined.absorb(&m),
-                SatResult::Unsat => {
-                    if slices.len() > 1 && self.config.use_cex_cache {
-                        // The slice is a finer unsat core than the query.
-                        self.cex.note_unsat(slice);
-                        if let Some(mi) = &self.shared {
-                            if mi.shared().publish_unsat_core(slice) {
-                                self.stats.shared_publishes += 1;
-                            }
-                        }
-                    }
-                    return SatResult::Unsat;
-                }
+                SatResult::Unsat => return SatResult::Unsat,
                 SatResult::Unknown => return SatResult::Unknown,
             }
         }
@@ -1999,10 +1649,10 @@ fn normalize_query(
     Ok(set)
 }
 
-/// Per-element hash (the `splitmix64` finalizer over the id): the shared
-/// primitive under the commutative set hash and the membership
-/// signatures, and the increment a [`SolverContext`] adds when its
-/// carried normalized set grows by one conjunct.
+/// Per-element hash (the `splitmix64` finalizer over the id): the
+/// primitive under the commutative set hash, and the increment a
+/// [`SolverContext`] adds when its carried normalized set grows by one
+/// conjunct.
 pub(crate) fn elem_hash(id: ExprId) -> u64 {
     let mut z = (id.index() as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -2020,14 +1670,6 @@ pub(crate) fn elem_hash(id: ExprId) -> u64 {
 /// harmless: the query cache stores and verifies full keys per bucket.
 pub(crate) fn set_hash(set: &[ExprId]) -> u64 {
     set.iter().fold(0u64, |h, &c| h.wrapping_add(elem_hash(c)))
-}
-
-/// 64-bit membership signature of a set: each element ORs in one of 64
-/// bits (chosen by its hash). `a ⊆ b` implies
-/// `signature(a) & !signature(b) == 0`, so one AND/compare refutes most
-/// subset candidates before the linear merge of [`is_subset`] runs.
-pub(crate) fn signature(set: &[ExprId]) -> u64 {
-    set.iter().fold(0u64, |s, &c| s | 1u64 << (elem_hash(c) & 63))
 }
 
 /// Groups constraints into connected components by shared input symbols.
@@ -2090,9 +1732,7 @@ mod tests {
     fn bare() -> SolverConfig {
         SolverConfig {
             use_cache: false,
-            use_model_reuse: false,
             use_independence: false,
-            use_cex_cache: false,
             use_incremental: false,
             ..SolverConfig::default()
         }
@@ -2156,40 +1796,6 @@ mod tests {
         assert_eq!(cache.get_hashed(h, &set_a), Some(&CachedResult::Unsat));
         assert_eq!(cache.get_hashed(h, &set_b), Some(&CachedResult::Sat(model)));
         assert_eq!(cache.get_hashed(h, &set_c), None, "colliding unseen set must miss");
-    }
-
-    #[test]
-    fn model_history_zero_is_safe() {
-        // `remember_model` used to call `Vec::remove(0)` on an empty vec
-        // when `model_history == 0`, panicking on the first sat query.
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let y = p.input("y", 8);
-        let one = p.bv_const(1, 8);
-        let two = p.bv_const(2, 8);
-        let c1 = p.eq(x, one);
-        let c2 = p.eq(y, two);
-        let mut s = Solver::new(SolverConfig { model_history: 0, ..bare() });
-        assert!(s.check(&p, &[c1]).is_sat());
-        assert!(s.check(&p, &[c2]).is_sat());
-        assert!(s.check(&p, &[c1, c2]).is_sat());
-        assert_eq!(s.stats().model_reuse_hits, 0);
-    }
-
-    #[test]
-    fn model_reuse_avoids_sat_calls() {
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let ten = p.bv_const(10, 8);
-        let five = p.bv_const(5, 8);
-        let c1 = p.ult(x, ten);
-        let c2 = p.ult(x, five); // implied by any model with x < 5
-        let mut s = Solver::new(SolverConfig { use_model_reuse: true, ..SolverConfig::default() });
-        // First query: x < 5 gives a model (likely x = 0).
-        assert!(s.check(&p, &[c2]).is_sat());
-        // Second query x < 10 can reuse the model.
-        assert!(s.check(&p, &[c1]).is_sat());
-        assert_eq!(s.stats().model_reuse_hits, 1);
     }
 
     #[test]
@@ -2267,42 +1873,6 @@ mod tests {
             "spent {} conflicts, budget was {budget}",
             s.stats().conflicts
         );
-    }
-
-    #[test]
-    fn cex_cache_unsat_subset_answers_superset() {
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let y = p.input("y", 8);
-        let five = p.bv_const(5, 8);
-        let ten = p.bv_const(10, 8);
-        let a = p.ult(x, five);
-        let b = p.ugt(x, ten);
-        let c = p.ult(y, five);
-        let mut s = Solver::new(SolverConfig { use_cex_cache: true, ..bare() });
-        assert!(s.check(&p, &[a, b]).is_unsat());
-        let calls = s.stats().sat_calls;
-        // {a, b, c} ⊇ {a, b}: answered from the stored core, no SAT call.
-        assert!(s.check(&p, &[a, b, c]).is_unsat());
-        assert_eq!(s.stats().sat_calls, calls);
-        assert_eq!(s.stats().cex_unsat_hits, 1);
-    }
-
-    #[test]
-    fn cex_cache_sat_superset_answers_subset() {
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let y = p.input("y", 8);
-        let ten = p.bv_const(10, 8);
-        let c1 = p.ult(x, ten);
-        let c2 = p.ult(y, ten);
-        let mut s = Solver::new(SolverConfig { use_cex_cache: true, ..bare() });
-        assert!(s.check(&p, &[c1, c2]).is_sat());
-        let calls = s.stats().sat_calls;
-        // {c1} ⊆ {c1, c2}: the stored model answers it outright.
-        assert!(s.check(&p, &[c1]).is_sat());
-        assert_eq!(s.stats().sat_calls, calls);
-        assert_eq!(s.stats().cex_sat_hits, 1);
     }
 
     #[test]
@@ -2608,28 +2178,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_context_prefix_feeds_the_cex_cache() {
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let y = p.input("y", 8);
-        let five = p.bv_const(5, 8);
-        let ten = p.bv_const(10, 8);
-        let a = p.ult(x, five);
-        let b = p.ugt(x, ten);
-        let c = p.ult(y, five);
-        let mut s =
-            Solver::new(SolverConfig { use_incremental: true, use_cex_cache: true, ..bare() });
-        // The prefix {a, b} itself is unsat: the context dies and donates
-        // the prefix (not the full query) as an unsat core.
-        assert!(s.check_assuming(&p, &[a, b], c).is_unsat());
-        // Any superset of {a, b} is now answered without solving.
-        let calls = s.stats().sat_calls;
-        assert!(s.check(&p, &[a, b]).is_unsat());
-        assert_eq!(s.stats().sat_calls, calls);
-        assert!(s.stats().cex_unsat_hits >= 1);
-    }
-
-    #[test]
     fn canonical_models_agree_across_all_paths() {
         let mut p = pool();
         let x = p.input("x", 8);
@@ -2693,28 +2241,6 @@ mod tests {
     }
 
     #[test]
-    fn is_subset_walks_sorted_slices() {
-        let ids: Vec<ExprId> = {
-            let mut p = pool();
-            let x = p.input("x", 8);
-            (0..5u64)
-                .map(|i| {
-                    let k = p.bv_const(i, 8);
-                    p.ult(x, k)
-                })
-                .collect()
-        };
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        let (a, b, c, d) = (sorted[0], sorted[1], sorted[2], sorted[3]);
-        assert!(is_subset(&[a, c], &[a, b, c, d]));
-        assert!(is_subset(&[], &[a]));
-        assert!(is_subset(&[a], &[a]));
-        assert!(!is_subset(&[a, d], &[a, b, c]));
-        assert!(!is_subset(&[a, b], &[b, c]));
-    }
-
-    #[test]
     fn may_be_sat_treats_unknown_as_true() {
         let mut p = pool();
         let x = p.input("x", 8);
@@ -2770,130 +2296,6 @@ mod tests {
             "queries that reached a solving path must have accrued routing time"
         );
         assert!(st.route_time >= st.fork_time, "fork_time is a segment of route_time");
-    }
-
-    #[test]
-    fn tier_gate_skips_cex_scans_on_small_context_queries() {
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let y = p.input("y", 8);
-        let five = p.bv_const(5, 8);
-        let ten = p.bv_const(10, 8);
-        let a = p.ult(x, five);
-        let b = p.ugt(x, ten);
-        let c = p.ult(y, five);
-        let run = |tier_gate: usize| {
-            let mut s = Solver::new(SolverConfig {
-                use_incremental: true,
-                use_cex_cache: true,
-                tier_gate,
-                ..bare()
-            });
-            // Warm a context covering the full prefix [a] (the first
-            // context-served query rebuilds; partial or cold coverage
-            // is never gated).
-            assert!(s.check_assuming(&p, &[a], c).is_sat());
-            // Seed a stored core via the (never gated) re-blast path.
-            assert!(s.check(&p, &[a, b]).is_unsat());
-            // A fully-warm context-served superset query of the core:
-            // with the gate at or above its size the cex scan is
-            // skipped and the verdict comes from the warm context;
-            // ungated it comes from the stored core.
-            assert!(s.check_assuming(&p, &[a], b).is_unsat());
-            s.stats().cex_unsat_hits
-        };
-        assert_eq!(run(0), 1, "ungated reference answers from the stored core");
-        assert_eq!(run(64), 0, "gated query must bypass the cex scan");
-    }
-
-    #[test]
-    fn cex_capacity_is_enforced_per_store() {
-        // Regression: each store enforces FIFO eviction at capacity
-        // independently — overfilling one side must not evict (or fail
-        // to bound) the other's entries.
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let ids: Vec<ExprId> = (0..10u64)
-            .map(|i| {
-                let k = p.bv_const(i, 8);
-                p.ult(x, k)
-            })
-            .collect();
-        let mut m = Model::new();
-        m.set(p.intern_symbol("x"), 0);
-        let mut cache = CexCache::new(2);
-        cache.note_sat(&[ids[0]], &m);
-        for &id in &ids[1..] {
-            cache.note_unsat(&[id]);
-        }
-        assert_eq!(cache.unsat_sets.len(), 2, "unsat side must stop at capacity");
-        assert_eq!(cache.sat_sets.len(), 1, "unsat-side pressure must not touch sat entries");
-        assert!(cache.model_for_subset(signature(&[ids[0]]), &[ids[0]]).is_some());
-        for &id in &ids[1..] {
-            cache.note_sat(&[id], &m);
-        }
-        assert_eq!(cache.sat_sets.len(), 2, "sat side must stop at capacity");
-        assert_eq!(cache.unsat_sets.len(), 2, "sat-side pressure must not touch unsat entries");
-    }
-
-    #[test]
-    fn cex_prefilter_answers_identically_to_unfiltered_scans() {
-        // The reference is a plain `is_subset` scan over every noted
-        // set; subsumption inside the cache never changes its answers.
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let ids: Vec<ExprId> = (0..6u64)
-            .map(|i| {
-                let k = p.bv_const(i, 8);
-                p.ult(x, k)
-            })
-            .collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        let mut m = Model::new();
-        m.set(p.intern_symbol("x"), 0);
-        let mut filtered = CexCache::new(8);
-        let noted = [&sorted[0..2], &sorted[2..5], &sorted[1..3]];
-        for c in noted {
-            filtered.note_unsat(c);
-            filtered.note_sat(c, &m);
-        }
-        // Probe every contiguous sub-range: subsets, supersets, misses.
-        for lo in 0..sorted.len() {
-            for hi in lo..sorted.len() {
-                let q = &sorted[lo..hi];
-                let sig = signature(q);
-                assert_eq!(
-                    filtered.implies_unsat(sig, q),
-                    noted.iter().any(|u| is_subset(u, q)),
-                    "prefilter changed an unsat-scan verdict for {q:?}"
-                );
-                assert_eq!(
-                    filtered.model_for_subset(sig, q).is_some(),
-                    noted.iter().any(|sup| is_subset(q, sup)),
-                    "prefilter changed a sat-scan verdict for {q:?}"
-                );
-            }
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_cex_lookup_fails_the_boundary_assert() {
-        let ids: Vec<ExprId> = {
-            let mut p = pool();
-            let x = p.input("x", 8);
-            (0..2u64)
-                .map(|i| {
-                    let k = p.bv_const(i, 8);
-                    p.ult(x, k)
-                })
-                .collect()
-        };
-        let (lo, hi) = if ids[0] < ids[1] { (ids[0], ids[1]) } else { (ids[1], ids[0]) };
-        let cache = CexCache::new(4);
-        let _ = cache.implies_unsat(signature(&[hi, lo]), &[hi, lo]);
     }
 
     #[test]

@@ -88,13 +88,7 @@ fn build(p: &mut ExprPool, r: &Recipe) -> ExprId {
 }
 
 fn no_cache_config() -> SolverConfig {
-    SolverConfig {
-        use_cache: false,
-        use_model_reuse: false,
-        use_cex_cache: false,
-        use_incremental: false,
-        ..Default::default()
-    }
+    SolverConfig { use_cache: false, use_incremental: false, ..Default::default() }
 }
 
 proptest! {
@@ -340,73 +334,4 @@ proptest! {
         }
     }
 
-}
-
-/// The full default pipeline — every cache tier on, incremental contexts
-/// on — with canonical models so byte-equality of models is meaningful,
-/// and the tier gate pinned explicitly.
-fn tiered_config(tier_gate: usize) -> SolverConfig {
-    SolverConfig { use_incremental: true, canonical_models: true, tier_gate, ..Default::default() }
-}
-
-proptest! {
-    // Cases and seed are pinned so CI runs are exactly reproducible.
-    #![proptest_config(ProptestConfig::with_cases(96).seed(0x6A7E_D00F))]
-
-    /// The tier gate is a pure routing shortcut: the same query sequence
-    /// on the default (gated) pipeline and on an ungated reference must
-    /// produce identical verdicts and byte-identical canonical models —
-    /// the shortcut may change which tier answers, never the answer.
-    /// Repeated queries and polarity flips drive every tier: exact-cache
-    /// hits, cex subsumption, and context-served small queries that the
-    /// gate reroutes.
-    #[test]
-    fn tier_gate_and_prefilter_are_result_invariant(
-        r1 in recipe(),
-        r2 in recipe(),
-        r3 in recipe(),
-        op in cmp_op(),
-    ) {
-        let mut p = ExprPool::new(WIDTH);
-        let a = build(&mut p, &r1);
-        let b = build(&mut p, &r2);
-        let c = build(&mut p, &r3);
-        let k = p.bv_const(5, WIDTH);
-        let pre = p.ult(a, k);
-        let ext = p.cmp(op, b, k);
-        let not_ext = p.not(ext);
-        let extra = p.cmp(op, c, k);
-        let not_extra = p.not(extra);
-        let t = p.true_();
-        let mut gated = Solver::new(tiered_config(64));
-        let mut ungated = Solver::new(tiered_config(0));
-        let queries: [(&[ExprId], ExprId); 6] = [
-            (&[pre], ext),
-            (&[pre], not_ext),
-            (&[pre, ext], extra),
-            (&[pre, ext], not_extra),
-            (&[pre, ext], extra),
-            (&[pre, not_ext], t),
-        ];
-        for (prefix, e) in queries {
-            let rg = gated.check_assuming(&p, prefix, e);
-            let ru = ungated.check_assuming(&p, prefix, e);
-            prop_assert_eq!(&rg, &ru, "the tier gate changed a result");
-            if let SatResult::Sat(m) = &rg {
-                let mut set: Vec<ExprId> = prefix.to_vec();
-                set.push(e);
-                prop_assert!(m.satisfies(&p, &set), "bogus gated model");
-            }
-        }
-        // The timing split holds on both pipelines: cache bookkeeping,
-        // query routing and sat solving are disjoint segments of total
-        // solver time.
-        for s in [&gated, &ungated] {
-            let st = s.stats();
-            prop_assert!(
-                st.time >= st.sat_time + st.cache_time + st.route_time,
-                "sat_time + cache_time + route_time exceed total solver time"
-            );
-        }
-    }
 }

@@ -149,11 +149,10 @@ fn shared_cache_differential_stdin_and_mixed_workloads() {
 }
 
 /// The re-blast scheme (`use_incremental = false`) routes every query
-/// through input-group slicing, where the shared counterexample tiers
-/// actually fire: one worker's unsat slice refutes another worker's
-/// whole query. Pin byte identity on that path too — an unsound shared
-/// refutation would silently prune feasible paths here. A spread of
-/// args/stdin/mixed workloads keeps the (slower) re-blast runs bounded.
+/// through input-group slicing, so the shared store sees whole-query
+/// verdicts from a second solving path. Pin byte identity on that path
+/// too. A spread of args/stdin/mixed workloads keeps the (slower)
+/// re-blast runs bounded.
 #[test]
 fn shared_cache_differential_reblast_scheme() {
     shared_differential_for(&[WORKLOADS[1], WORKLOADS[6], WORKLOADS[8], WORKLOADS[11]], false);
@@ -179,7 +178,7 @@ fn cross_worker_full_key_collision_cannot_alias() {
     let mut pool = ExprPool::new(8);
     let cs = distinct_constraints(&mut pool, 2);
     let (set_a, set_b) = (&cs[0..1], &cs[1..2]);
-    let cache = SharedSolverCache::new(64);
+    let cache = SharedSolverCache::new();
 
     const H: u64 = 0xDEAD_BEEF_DEAD_BEEF;
     assert!(cache.publish_verdict(H, set_a, None), "first publication must land");
@@ -209,7 +208,7 @@ proptest! {
     fn mirror_sync_is_monotone(ops in proptest::collection::vec(0u8..4, 1..48)) {
         let mut pool = ExprPool::new(8);
         let cs = distinct_constraints(&mut pool, ops.len());
-        let cache = SharedSolverCache::new(ops.len() * 2);
+        let cache = SharedSolverCache::new();
         let mut solver = Solver::new(SolverConfig {
             shared_cache: true,
             ..SolverConfig::default()
@@ -220,20 +219,22 @@ proptest! {
         let mut last_seen = 0usize;
         for op in ops {
             match op {
-                // Publish a fresh exact verdict / unsat core / sat set.
+                // Publish a fresh unsat / sat exact verdict.
                 0 => {
                     cache.publish_verdict(next as u64, &cs[next..=next], None);
                     next += 1;
                 }
                 1 => {
-                    cache.publish_unsat_core(&cs[next..=next]);
+                    cache.publish_verdict(next as u64, &cs[next..=next], Some(&Model::new()));
                     next += 1;
                 }
-                2 => {
-                    let model = Model::new();
-                    cache.publish_sat_set(&cs[next..=next], &model);
-                    next += 1;
+                // Re-publish the latest set: a no-op the mirror must
+                // not count twice.
+                2 if next > 0 => {
+                    let last = next - 1;
+                    cache.publish_verdict(last as u64, &cs[last..=last], None);
                 }
+                2 => {}
                 // Sync the mirror mid-stream.
                 _ => solver.sync_shared_cache(),
             }

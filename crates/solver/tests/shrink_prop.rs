@@ -114,8 +114,6 @@ fn base_config() -> SolverConfig {
         use_incremental: true,
         canonical_models: true,
         use_cache: false,
-        use_model_reuse: false,
-        use_cex_cache: false,
         ..Default::default()
     }
 }

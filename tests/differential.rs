@@ -197,44 +197,6 @@ fn solver_differential_stdin_and_mixed_workloads() {
     solver_differential_for(&WORKLOADS[8..]);
 }
 
-/// The cache-tier differential: the tier gate (small context-served
-/// queries skip the cex scan and model re-evaluation) is a pure
-/// shortcut — it may change which tier answers a query, never the
-/// answer. Running the default (gated) pipeline against an ungated
-/// reference (`tier_gate: 0`), on both solver paths, must be
-/// byte-identical under canonical models.
-fn tier_pipeline_differential_for(workloads: &[(&str, InputConfig)]) {
-    for &(name, cfg) in workloads {
-        for use_incremental in [true, false] {
-            let gated = SolverConfig {
-                use_incremental,
-                canonical_models: true,
-                tier_gate: 64,
-                ..env_solver()
-            };
-            let ungated = SolverConfig { tier_gate: 0, ..gated.clone() };
-            for (mode, strategy) in [
-                (MergeMode::None, StrategyKind::Bfs),
-                (MergeMode::Static, StrategyKind::Topological),
-            ] {
-                let a = run_with_solver(name, cfg, mode, strategy, gated.clone());
-                let b = run_with_solver(name, cfg, mode, strategy, ungated.clone());
-                assert_solver_config_invariant(name, "tier-gated vs ungated", &a, &b);
-            }
-        }
-    }
-}
-
-#[test]
-fn tier_pipeline_differential_args_workloads() {
-    tier_pipeline_differential_for(&WORKLOADS[0..8]);
-}
-
-#[test]
-fn tier_pipeline_differential_stdin_and_mixed_workloads() {
-    tier_pipeline_differential_for(&WORKLOADS[8..]);
-}
-
 /// The parallel differential: for every workload, the sharded engine at
 /// `jobs ∈ {1, 2, 4}` must be byte-identical to the sequential engine —
 /// same counters, verdicts and coverage, and (under canonical models,
